@@ -17,6 +17,7 @@ entanglement, so every verdict carries ``necessity_caveat=True``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NumericalFailure, ParamOutOfRange
@@ -76,6 +77,16 @@ class Verdict:
     necessity_caveat: bool = True
 
 
+def check_eps(eps: float) -> None:
+    """Raise :class:`ParamOutOfRange` unless ``eps`` is finite and >= 0.
+
+    NaN would fail every threshold comparison and infinity pass every one,
+    so either would decide the verdict instead of the state.
+    """
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ParamOutOfRange(f"eps={eps!r} must be finite and >= 0")
+
+
 def spectral_summary(rho) -> SpectralSummary:
     """Canonical channel minima of ``rho`` for all three cuts."""
     lam = [min_eigenvalue(spa_pt_canonical(rho, q)) for q in QUBITS]
@@ -86,8 +97,7 @@ def decide_minima(
     per_cut, eps: float = DEFAULT_EPS, threshold: float = THRESHOLD
 ) -> Verdict:
     """Apply the decision table to a mapping of cut label -> channel minimum."""
-    if eps < 0.0:
-        raise ParamOutOfRange(f"eps={eps!r} must be >= 0")
+    check_eps(eps)
     passing = tuple(CUT_NAMES[q] for q in QUBITS if per_cut[q] >= threshold - eps)
     if len(passing) == 3:
         return Verdict(FULLY_SEPARABLE, passing, min(per_cut.values()) - threshold)
@@ -115,6 +125,5 @@ def cut_passes_threshold(rho, q: str, eps: float = DEFAULT_EPS) -> bool:
     True when the canonical channel minimum for ``q`` reaches 1/10 (within
     ``eps``); False certifies entanglement across that cut.
     """
-    if eps < 0.0:
-        raise ParamOutOfRange(f"eps={eps!r} must be >= 0")
+    check_eps(eps)
     return min_eigenvalue(spa_pt_canonical(rho, q)) >= THRESHOLD - eps

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .classify import DEFAULT_EPS, decide_minima
+from .classify import DEFAULT_EPS, check_eps, decide_minima
 from .errors import (
     BadWeights,
     InvariantViolation,
@@ -73,6 +73,7 @@ def _csv_line(cells) -> str:
 def build_report(spec, p: float = CANONICAL_WEIGHT, eps: float = DEFAULT_EPS,
                  qubit: str | None = None, want_tangle: bool = False) -> dict:
     """Full classification report for a parsed state specification."""
+    check_eps(eps)
     rho = to_density(spec)
     started = time.perf_counter()
     cuts = [qubit] if qubit else list(QUBITS)
@@ -292,6 +293,7 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
 
 
 def cmd_scan(args, out) -> int:
+    check_eps(args.eps)
     family = args.family.lower()
     param_names = catalog_param_names(family)
     grids = dict(_parse_grid(g) for g in args.grid or [])

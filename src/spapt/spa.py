@@ -21,6 +21,15 @@ Two different weights matter and are deliberately kept apart:
   entangled inputs on a doubled system. That weight is larger (32/33), so
   outputs on ordinary inputs being PSD from 4/5 on does not by itself make
   the mixed map completely positive there.
+
+Both weights follow in closed form from the same affine law, one
+eigensolve each. With ``mu`` the most negative partial-transpose eigenvalue
+over all input states, ``p* = -8 mu / (1 - 8 mu)``; with ``mu_c`` the minimum
+of the bare (``p = 0``) Choi operator, ``p*_choi = -64 mu_c / (1 - 64 mu_c)``.
+A single qubit against the rest is a 2x4 cut, so pure inputs have Schmidt
+rank at most 2 and ``mu >= -sqrt(l1 l2) >= -1/2``; the balanced GHZ state
+attains -1/2 on every cut (see :func:`worst_case_pt_min`). ``mu_c`` is -1/2
+as well, which gives 4/5 and 32/33.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from .ptranspose import partial_transpose, qubit_index, transpose_bits
 CANONICAL_WEIGHT = 4.0 / 5.0
 THRESHOLD = CANONICAL_WEIGHT / 8.0  # 1/10
 PSD_TOL = 1e-10
-BISECTION_ITERS = 60
 
 
 def _check_weight(p: float) -> float:
@@ -98,94 +106,58 @@ def choi_matrix(q: str, p: float) -> np.ndarray:
     return p * np.eye(64, dtype=np.complex128) / 64.0 + (1.0 - p) * pt_choi
 
 
-def choi_min_eigenvalue(q: str, p: float) -> float:
-    return min_eigenvalue(choi_matrix(q, p))
-
-
-def _seesaw_worst_pt_min(bit: int, restarts: int = 12, iters: int = 400) -> float:
-    """Most negative reachable eigenvalue of PT over all input states.
-
-    Minimizes <phi| PT(|psi><psi|) |phi| by alternating exact eigenvector
-    steps in psi and phi (each step is optimal for the other held fixed, so
-    the value decreases monotonically). Convexity puts the worst case on
-    pure inputs. Uses numpy's eigensolver internally because the steps need
-    eigenvectors, which the Jacobi kernel does not expose.
-    """
-    rng = np.random.default_rng(20240800 + bit)
-    best = 0.0
-    for _ in range(restarts):
-        psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        psi /= np.linalg.norm(psi)
-        prev = np.inf
-        val = 0.0
-        for _ in range(iters):
-            rho = np.outer(psi, psi.conj())
-            w, v = np.linalg.eigh(transpose_bits(rho, 3, bit))
-            val = float(w[0])
-            phi = v[:, 0]
-            w2, v2 = np.linalg.eigh(
-                transpose_bits(np.outer(phi, phi.conj()), 3, bit)
-            )
-            psi = v2[:, 0]
-            if abs(val - prev) < 1e-15:
-                break
-            prev = val
-        best = min(best, val)
-    return best
-
-
-_WORST_PT_MIN: dict[int, float] = {}
-
-
 def worst_case_pt_min(q: str) -> float:
-    """Cached seesaw estimate of the most negative PT eigenvalue for cut ``q``."""
-    bit = qubit_index(q)
-    if bit not in _WORST_PT_MIN:
-        _WORST_PT_MIN[bit] = _seesaw_worst_pt_min(bit)
-    return _WORST_PT_MIN[bit]
+    """Most negative partial-transpose eigenvalue over all input states, cut ``q``.
+
+    The value is -1/2 on every cut, read off one 8x8 solve:
+
+    * A single qubit against the other two is a 2x4 cut, so a pure input has
+      Schmidt rank at most 2, with coefficients ``l1 + l2 = 1``.
+    * The partial transpose of such a state has spectrum ``l1, l2,
+      +sqrt(l1*l2), -sqrt(l1*l2)`` and zeros, so its minimum is
+      ``-sqrt(l1*l2) >= -(l1 + l2)/2 = -1/2``.
+    * A mixed input is a convex sum of pure ones, partial transposition is
+      linear and the smallest eigenvalue is concave, so the bound holds for
+      every input state.
+    * The balanced GHZ state has ``l1 = l2 = 1/2`` on every cut and attains
+      the bound; its partial-transpose minimum is returned.
+    """
+    ghz = np.zeros((8, 8), dtype=np.complex128)
+    ghz[np.ix_((0, 7), (0, 7))] = 0.5
+    return min_eigenvalue(partial_transpose(ghz, q))
+
+
+def _psd_weight(mu: float, dim: int) -> float:
+    """Smallest ``p`` with ``p/dim + (1-p)*mu >= 0``; 0 when ``mu >= -PSD_TOL``."""
+    if mu >= -PSD_TOL:
+        return 0.0
+    return -dim * mu / (1.0 - dim * mu)
 
 
 def min_cp_parameter(q: str, tol: float = 1e-6) -> float:
-    """Smallest weight at which every input state yields a PSD output.
+    """Smallest weight at which every input state yields a PSD output (4/5).
 
     The worst-case output eigenvalue at weight ``p`` is
-    ``p/8 + (1-p) * worst_case_pt_min(q)`` by the affine spectrum law, so a
-    bisection on that predicate (PSD within ``PSD_TOL``) pins the boundary.
-    The returned value is 4/5 up to ``tol``.
+    ``p/8 + (1-p) * mu`` with ``mu = worst_case_pt_min(q)`` by the affine
+    spectrum law, which is zero at ``p = -8 mu / (1 - 8 mu)``. The closed
+    form is exact to solver precision; ``tol`` is only validated.
     """
     if not tol > 0.0:
         raise ParamOutOfRange(f"tol={tol!r} must be positive")
-    worst = worst_case_pt_min(q)
-
-    def output_psd(p: float) -> bool:
-        return p / 8.0 + (1.0 - p) * worst >= -PSD_TOL
-
-    lo, hi = 0.0, 1.0
-    if output_psd(lo):
-        return lo
-    for _ in range(BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if output_psd(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _psd_weight(worst_case_pt_min(q), 8)
 
 
 def min_choi_psd_parameter(q: str, tol: float = 1e-6) -> float:
-    """Smallest weight at which the Choi operator itself is PSD (about 32/33)."""
+    """Smallest weight at which the Choi operator itself is PSD (32/33).
+
+    The Choi operator at weight ``p`` is ``p I/64 + (1-p) C0`` with
+    ``C0 = choi_matrix(q, 0)``, so its minimum is ``p/64 + (1-p) * mu_c``
+    for ``mu_c`` the minimum of ``C0`` (-1/2), which is zero at
+    ``p = -64 mu_c / (1 - 64 mu_c)``. ``tol`` is only validated.
+    """
     if not tol > 0.0:
         raise ParamOutOfRange(f"tol={tol!r} must be positive")
-    lo, hi = 0.0, 1.0
-    if choi_min_eigenvalue(q, lo) >= -PSD_TOL:
-        return lo
-    while hi - lo > tol / 4.0:
-        mid = 0.5 * (lo + hi)
-        if choi_min_eigenvalue(q, mid) >= -PSD_TOL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _psd_weight(min_eigenvalue(choi_matrix(q, 0.0)), 64)
 
 
 def spa_bipartite_threshold(d: int, lam: float) -> float:

@@ -4,13 +4,17 @@ oracles used to cross-check the library's own code paths.
 Everything here deliberately avoids the library's implementation choices:
 the eigenvalue oracle goes through characteristic-polynomial coefficients
 and companion-matrix roots, partial transposition is rebuilt from the 2x2
-block prescriptions, and the tangle oracle uses partial traces and
-concurrences.
+block prescriptions, the tangle oracle uses partial traces and concurrences,
+and the worst partial-transpose eigenvalue over inputs is searched by a
+randomized seesaw instead of read off the GHZ state (the seesaw reuses the
+library's axis swap, which the block-prescription route checks).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from spapt.ptranspose import transpose_bits
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +176,42 @@ def ckw_residual_tangle(psi: np.ndarray) -> float:
     rho_ac = np.einsum("abcdbf->acdf", rho).reshape(4, 4)
     c_one_rest_sq = 4.0 * float(np.linalg.det(rho_a).real)
     return c_one_rest_sq - concurrence_squared(rho_ab) - concurrence_squared(rho_ac)
+
+
+# ---------------------------------------------------------------------------
+# worst partial-transpose eigenvalue over inputs: randomized seesaw
+# ---------------------------------------------------------------------------
+
+def seesaw_worst_pt_min(bit: int, restarts: int = 12, iters: int = 400) -> float:
+    """Most negative reachable eigenvalue of PT over all input states.
+
+    Minimizes <phi| PT(|psi><psi|) |phi| by alternating exact eigenvector
+    steps in psi and phi (each step is optimal for the other held fixed, so
+    the value decreases monotonically). Convexity puts the worst case on
+    pure inputs. Uses numpy's eigensolver internally because the steps need
+    eigenvectors, which the Jacobi kernel does not expose.
+    """
+    rng = np.random.default_rng(20240800 + bit)
+    best = 0.0
+    for _ in range(restarts):
+        psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        psi /= np.linalg.norm(psi)
+        prev = np.inf
+        val = 0.0
+        for _ in range(iters):
+            rho = np.outer(psi, psi.conj())
+            w, v = np.linalg.eigh(transpose_bits(rho, 3, bit))
+            val = float(w[0])
+            phi = v[:, 0]
+            w2, v2 = np.linalg.eigh(
+                transpose_bits(np.outer(phi, phi.conj()), 3, bit)
+            )
+            psi = v2[:, 0]
+            if abs(val - prev) < 1e-15:
+                break
+            prev = val
+        best = min(best, val)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,20 @@ class TestClassify:
         with pytest.raises(ParamOutOfRange):
             classify(np.eye(8, dtype=complex) / 8.0, eps=-1.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_eps_must_be_finite_and_nonnegative(self, eps):
+        # NaN fails every comparison and inf passes every one, so either
+        # would decide the verdict without looking at the state
+        rho = to_density(catalog("kye", 4.0))
+        calls = [
+            lambda: classify(rho, eps=eps),
+            lambda: decide_minima({"A": 0.11, "B": 0.11, "C": 0.11}, eps=eps),
+            lambda: cut_passes_threshold(rho, "A", eps=eps),
+        ]
+        for call in calls:
+            with pytest.raises(ParamOutOfRange, match=repr(eps)):
+                call()
+
 
 class TestDecisionTable:
     def test_two_passing_cuts_reported_with_both(self):

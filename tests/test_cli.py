@@ -100,6 +100,16 @@ class TestClassifyCommand:
         assert "verdict: fully-separable" in out
         assert "0.11" in out
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("extra", [[], ["--qubit", "A"]])
+    def test_bad_eps_exits_2_before_output(self, tmp_path, capsys, eps, extra):
+        path = write_state(tmp_path, {"catalog": {"name": "kye", "params": [4]}})
+        code, out, err = run_cli(["classify", path, "--eps", eps] + extra, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "eps=" in err
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("not json", encoding="utf-8")
@@ -203,6 +213,14 @@ class TestScanCommand:
         code, _, err = run_cli(["scan", "b1", "--grid", "q=0:2:5"], capsys)
         assert code == 2
         assert "outside" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_eps_exits_2_before_the_header(self, capsys, eps):
+        code, out, err = run_cli(["scan", "kye", "--grid", "a=4", "--eps", eps], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "eps=" in err
 
     def test_unknown_family_exits_2(self, capsys):
         code, _, err = run_cli(["scan", "mystery", "--grid", "q=0:1:3"], capsys)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spapt import (
     catalog,
@@ -9,6 +11,7 @@ from spapt import (
     density_from_pure,
     hermitian_eigenvalues,
     is_ppt_cut,
+    is_psd,
     ket,
     min_choi_psd_parameter,
     min_cp_parameter,
@@ -22,7 +25,12 @@ from spapt import (
 )
 from spapt.errors import ParamOutOfRange
 from spapt.spa import worst_case_pt_min
-from support import random_density, random_pure, random_state_mixed_or_pure
+from support import (
+    random_density,
+    random_pure,
+    random_state_mixed_or_pure,
+    seesaw_worst_pt_min,
+)
 
 INV2 = 1.0 / np.sqrt(2.0)
 MM = np.eye(8, dtype=complex) / 8.0
@@ -175,6 +183,14 @@ class TestChoi:
         assert min_eigenvalue(choi_matrix("A", 0.8)) == pytest.approx(0.0, abs=1e-10)
 
 
+@settings(max_examples=30, deadline=None)
+@given(p=st.floats(min_value=0.0, max_value=1.0), q=st.sampled_from("ABC"))
+def test_choi_minimum_is_affine_in_the_weight(p, q):
+    # the law both closed-form weights rest on
+    expected = p / 64.0 + (1.0 - p) * min_eigenvalue(choi_matrix(q, 0.0))
+    assert min_eigenvalue(choi_matrix(q, p)) == pytest.approx(expected, abs=1e-12)
+
+
 class TestThresholds:
     def test_worst_case_input_eigenvalue(self):
         for q in "ABC":
@@ -186,6 +202,27 @@ class TestThresholds:
 
     def test_choi_psd_weight_is_32_over_33(self):
         assert min_choi_psd_parameter("A", 1e-6) == pytest.approx(32 / 33, abs=1e-6)
+
+    @pytest.mark.parametrize("q, bit", [("A", 0), ("B", 1), ("C", 2)])
+    def test_seesaw_search_never_beats_the_closed_form(self, q, bit):
+        found = seesaw_worst_pt_min(bit)
+        assert found == pytest.approx(-0.5, abs=1e-9)
+        assert found >= worst_case_pt_min(q) - 1e-12
+
+    @pytest.mark.parametrize("q", "ABC")
+    def test_weights_sit_on_the_psd_boundary(self, q):
+        assert min_cp_parameter(q) == pytest.approx(4 / 5, abs=1e-12)
+        p_star = min_choi_psd_parameter(q)
+        assert p_star == pytest.approx(32 / 33, abs=1e-12)
+        assert min_eigenvalue(choi_matrix(q, p_star)) >= -1e-12
+        assert not is_psd(choi_matrix(q, p_star - 1e-6))
+
+    def test_weights_validate_tol(self):
+        for tol in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ParamOutOfRange):
+                min_cp_parameter("A", tol)
+            with pytest.raises(ParamOutOfRange):
+                min_choi_psd_parameter("A", tol)
 
     def test_bipartite_threshold_values(self):
         assert spa_bipartite_threshold(2, 0.5) == pytest.approx(2 / 9, abs=1e-15)
