@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the Jacobi eigensolver backends against each other.
 
-The numba path is what the library dispatches to by default; the numpy path
-is the fallback selected by SPAPT_NO_NUMBA=1. Matrix sizes cover the 8x8
+The numba path is what the library dispatches to when numba imports; the
+numpy path runs otherwise. Matrix sizes cover the 8x8
 working size and the 64x64 Choi operators, plus a batch shaped like the
 acceptance suite's random-state sweeps.
 
@@ -42,7 +42,7 @@ def main():
     if kernels.jacobi_eigvalsh_jit is not None:
         solvers.insert(0, ("numba", kernels.jacobi_eigvalsh_jit))
     else:
-        print("numba backend unavailable (disabled or not installed); timing numpy only")
+        print("numba not installed; timing numpy only")
 
     rng = np.random.default_rng(0)
     cases = [

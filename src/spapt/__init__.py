@@ -15,6 +15,7 @@ from .classify import (
     GENUINE,
     SpectralSummary,
     Verdict,
+    channel_minima,
     classify,
     classify_summary,
     cut_passes_threshold,
@@ -70,6 +71,7 @@ __all__ = [
     "as_density_matrix",
     "catalog",
     "catalog_names",
+    "channel_minima",
     "choi_matrix",
     "classify",
     "classify_summary",

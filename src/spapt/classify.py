@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import NumericalFailure, ParamOutOfRange
 from .ptranspose import QUBITS
-from .spa import THRESHOLD, spa_pt_canonical
+from .spa import CANONICAL_WEIGHT, THRESHOLD, spa_pt
 from .linalg import min_eigenvalue
 
 CUT_NAMES = {"A": "A-BC", "B": "B-AC", "C": "C-AB"}
@@ -65,8 +65,9 @@ class Verdict:
 
     ``cuts`` lists the cut names whose channel minimum reached the threshold
     (empty for genuine entanglement, all three for fully separable). The
-    ``margin`` is positive confidence: distance of the deciding eigenvalue
-    from the threshold, in the direction that supports the verdict.
+    ``margin`` is the distance of the deciding eigenvalue from the
+    threshold, in the direction that supports the verdict; it is never
+    negative (a cut that passes only within ``eps`` gives 0).
     ``necessity_caveat`` is always True; separability verdicts rest on a
     necessary condition only.
     """
@@ -75,6 +76,15 @@ class Verdict:
     cuts: tuple[str, ...]
     margin: float
     necessity_caveat: bool = True
+
+    def __post_init__(self):
+        if not self.margin >= 0.0:
+            raise NumericalFailure(f"verdict margin {self.margin!r} is negative or NaN")
+
+    @property
+    def label(self) -> str:
+        """``kind``, with the passing cuts appended as ``:A-BC+B-AC`` when biseparable."""
+        return self.kind + (":" + "+".join(self.cuts) if self.kind == BISEPARABLE else "")
 
 
 def check_eps(eps: float) -> None:
@@ -87,10 +97,14 @@ def check_eps(eps: float) -> None:
         raise ParamOutOfRange(f"eps={eps!r} must be finite and >= 0")
 
 
+def channel_minima(rho, p: float = CANONICAL_WEIGHT, cuts=QUBITS) -> dict[str, float]:
+    """Smallest eigenvalue of the channel output at weight ``p``, per cut."""
+    return {q: min_eigenvalue(spa_pt(rho, q, p)) for q in cuts}
+
+
 def spectral_summary(rho) -> SpectralSummary:
     """Canonical channel minima of ``rho`` for all three cuts."""
-    lam = [min_eigenvalue(spa_pt_canonical(rho, q)) for q in QUBITS]
-    return SpectralSummary(*lam)
+    return SpectralSummary(*channel_minima(rho).values())
 
 
 def decide_minima(
@@ -98,13 +112,14 @@ def decide_minima(
 ) -> Verdict:
     """Apply the decision table to a mapping of cut label -> channel minimum."""
     check_eps(eps)
-    passing = tuple(CUT_NAMES[q] for q in QUBITS if per_cut[q] >= threshold - eps)
-    if len(passing) == 3:
-        return Verdict(FULLY_SEPARABLE, passing, min(per_cut.values()) - threshold)
-    if passing:
-        passing_values = [per_cut[q] for q in QUBITS if CUT_NAMES[q] in passing]
-        return Verdict(BISEPARABLE, passing, min(passing_values) - threshold)
-    return Verdict(GENUINE, (), threshold - max(per_cut.values()))
+    if not all(math.isfinite(per_cut[q]) for q in QUBITS):
+        raise NumericalFailure(f"channel minima {per_cut!r} are not all finite")
+    passing = [q for q in QUBITS if per_cut[q] >= threshold - eps]
+    if not passing:
+        return Verdict(GENUINE, (), threshold - max(per_cut.values()))
+    kind = FULLY_SEPARABLE if len(passing) == 3 else BISEPARABLE
+    margin = max(0.0, min(per_cut[q] for q in passing) - threshold)
+    return Verdict(kind, tuple(CUT_NAMES[q] for q in passing), margin)
 
 
 def classify_summary(
@@ -126,4 +141,4 @@ def cut_passes_threshold(rho, q: str, eps: float = DEFAULT_EPS) -> bool:
     ``eps``); False certifies entanglement across that cut.
     """
     check_eps(eps)
-    return min_eigenvalue(spa_pt_canonical(rho, q)) >= THRESHOLD - eps
+    return channel_minima(rho, cuts=(q,))[q] >= THRESHOLD - eps

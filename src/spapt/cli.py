@@ -7,33 +7,28 @@ Subcommands:
                  computed-vs-reference deltas.
 * ``scan``       sweep a catalog family over a parameter grid, emit CSV.
 
-Exit codes: 0 success, 1 internal numerical failure, 2 bad input.
+Each command writes into a buffer that reaches stdout only when the command
+returns, so stdout holds a complete result or nothing. Exit codes: 0
+success, 1 internal numerical failure, 2 bad input (both leave stdout empty).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
-from .classify import DEFAULT_EPS, check_eps, decide_minima
-from .errors import (
-    BadWeights,
-    InvariantViolation,
-    NonSquare,
-    NotHermitian,
-    NotNormalized,
-    NumericalFailure,
-    ParamOutOfRange,
-    SchemaError,
-    UnknownName,
-)
-from .linalg import hermitian_eigenvalues, min_eigenvalue
+from .classify import DEFAULT_EPS, channel_minima, check_eps, decide_minima
+from .errors import InputError, NumericalFailure, ParamOutOfRange, SchemaError
+from .linalg import hermitian_eigenvalues
 from .ptranspose import QUBITS, partial_transpose
-from .spa import CANONICAL_WEIGHT, spa_pt
+from .spa import CANONICAL_WEIGHT
 from .states import (
     catalog,
     catalog_names,
@@ -45,17 +40,6 @@ from .states import (
 )
 from .tangle import three_tangle_pure
 
-_INPUT_ERRORS = (
-    SchemaError,
-    InvariantViolation,
-    BadWeights,
-    UnknownName,
-    ParamOutOfRange,
-    NotNormalized,
-    NotHermitian,
-    NonSquare,
-)
-
 
 def _fmt(x: float) -> str:
     """Shortest decimal form within 12 significant digits (CSV cells)."""
@@ -64,6 +48,11 @@ def _fmt(x: float) -> str:
 
 def _csv_line(cells) -> str:
     return ",".join(str(c) for c in cells) + "\n"
+
+
+def _minima_cells(minima: dict[str, float]) -> list[str]:
+    """CSV cells lam_a, lam_b, lam_c, lam_max."""
+    return [_fmt(minima[q]) for q in QUBITS] + [_fmt(max(minima.values()))]
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +67,17 @@ def build_report(spec, p: float = CANONICAL_WEIGHT, eps: float = DEFAULT_EPS,
     started = time.perf_counter()
     cuts = [qubit] if qubit else list(QUBITS)
     threshold = p / 8.0
-
-    pt_spectra = {}
-    minima = {}
-    for q in cuts:
-        pt_spectra[q] = [float(x) for x in hermitian_eigenvalues(partial_transpose(rho, q))]
-        minima[q] = min_eigenvalue(spa_pt(rho, q, p))
+    pt_spectra = {
+        q: [float(x) for x in hermitian_eigenvalues(partial_transpose(rho, q))] for q in cuts
+    }
+    minima = channel_minima(rho, p, cuts)
 
     report = {
         "input": spec_to_obj(spec),
         "p": p,
         "threshold": threshold,
         "pt_spectra": pt_spectra,
-        "spa_min": {q: minima[q] for q in cuts},
+        "spa_min": dict(minima),
         "verdict": None,
         "tangle": None,
         "timing": None,
@@ -100,12 +87,7 @@ def build_report(spec, p: float = CANONICAL_WEIGHT, eps: float = DEFAULT_EPS,
     else:
         report["spa_min"]["max"] = max(minima.values())
         verdict = decide_minima(minima, eps, threshold)
-        report["verdict"] = {
-            "kind": verdict.kind,
-            "cuts": list(verdict.cuts),
-            "margin": verdict.margin,
-            "necessity_caveat": verdict.necessity_caveat,
-        }
+        report["verdict"] = dict(asdict(verdict), cuts=list(verdict.cuts))
     if want_tangle:
         psi = pure_amplitudes(spec)
         if psi is None:
@@ -162,7 +144,7 @@ def cmd_classify(args, out) -> int:
 # Reference rows: parameters with the published minima for the
 # l0|000>+l1|100>+l2|111> family (first value column belongs to cut A; the
 # family is symmetric under swapping its last two qubits, so cuts B and C
-# share the second column).
+# share the second column), then the published overall maximum.
 TABLE1_ROWS = [
     ((0.7, 0.1, 0.707107), 0.00101, 1.295e-18, 0.00101),
     ((0.3, 0.4, 0.866), 0.048, 0.0134, 0.048),
@@ -212,55 +194,43 @@ EXAMPLE_ROWS = [
 ]
 
 
-def _family_minima(name: str, params) -> dict[str, float]:
-    rho = to_density(catalog(name, *params))
-    return {q: min_eigenvalue(spa_pt(rho, q, CANONICAL_WEIGHT)) for q in QUBITS}
-
-
-def _reproduce_table(rows, family, pair_label, other_label, out) -> None:
+def _reproduce_table(rows, family, pair_cuts, pair_label, other_label, out) -> None:
+    """One CSV row per reference row; cuts in ``pair_cuts`` share the first
+    reference column, the others the second."""
     out.write(_csv_line(
         ["l0", "l1", "l2", "renormalized", "lam_a", "lam_b", "lam_c", "lam_max",
          f"ref_{pair_label}", f"ref_{other_label}", "ref_max", "delta_max", "verdict"]
     ))
     for params, ref_pair, ref_other, ref_max in rows:
         norm2 = sum(x * x for x in params)
-        minima = _family_minima(family, params)
-        lam_max = max(minima.values())
-        if family == "g3":
-            deltas = [abs(minima["A"] - ref_pair), abs(minima["B"] - ref_other),
-                      abs(minima["C"] - ref_other), abs(lam_max - ref_max)]
-        else:
-            deltas = [abs(minima["A"] - ref_pair), abs(minima["B"] - ref_pair),
-                      abs(minima["C"] - ref_other), abs(lam_max - ref_max)]
-        verdict = decide_minima(minima)
+        minima = channel_minima(to_density(catalog(family, *params)))
+        deltas = [abs(minima[q] - (ref_pair if q in pair_cuts else ref_other)) for q in QUBITS]
+        deltas.append(abs(max(minima.values()) - ref_max))
         out.write(_csv_line(
             [_fmt(params[0]), _fmt(params[1]), _fmt(params[2]),
              "yes" if abs(norm2 - 1.0) > 1e-10 else "no",
-             _fmt(minima["A"]), _fmt(minima["B"]), _fmt(minima["C"]), _fmt(lam_max),
+             *_minima_cells(minima),
              _fmt(ref_pair), _fmt(ref_other), _fmt(ref_max), _fmt(max(deltas)),
-             verdict.kind + (":" + "+".join(verdict.cuts) if verdict.kind == "biseparable" else "")]
+             decide_minima(minima).label]
         ))
 
 
 def cmd_reproduce(args, out) -> int:
     if args.target == "table1":
-        _reproduce_table(TABLE1_ROWS, "g3", "a", "bc", out)
+        _reproduce_table(TABLE1_ROWS, "g3", "A", "a", "bc", out)
     elif args.target == "table2":
-        _reproduce_table(TABLE2_ROWS, "b2", "ab", "c", out)
+        _reproduce_table(TABLE2_ROWS, "b2", "AB", "ab", "c", out)
     else:
         out.write(_csv_line(
             ["example", "params", "lam_a", "lam_b", "lam_c", "lam_max",
              "ref_max", "delta", "verdict"]
         ))
         for label, family, params, ref_max in EXAMPLE_ROWS:
-            minima = _family_minima(family, params)
-            lam_max = max(minima.values())
-            verdict = decide_minima(minima)
+            minima = channel_minima(to_density(catalog(family, *params)))
             out.write(_csv_line(
-                [label, ";".join(_fmt(p) for p in params),
-                 _fmt(minima["A"]), _fmt(minima["B"]), _fmt(minima["C"]),
-                 _fmt(lam_max), _fmt(ref_max), _fmt(lam_max - ref_max),
-                 verdict.kind + (":" + "+".join(verdict.cuts) if verdict.kind == "biseparable" else "")]
+                [label, ";".join(_fmt(p) for p in params), *_minima_cells(minima),
+                 _fmt(ref_max), _fmt(max(minima.values()) - ref_max),
+                 decide_minima(minima).label]
             ))
     return 0
 
@@ -311,22 +281,11 @@ def cmd_scan(args, out) -> int:
         header.append("tau")
     out.write(_csv_line(header))
 
-    def rows(idx, chosen):
-        if idx == len(param_names):
-            yield tuple(chosen)
-            return
-        for v in grids[param_names[idx]]:
-            yield from rows(idx + 1, chosen + [v])
-
-    for params in rows(0, []):
+    for params in itertools.product(*(grids[n] for n in param_names)):
         spec = catalog(family, *params)
-        rho = to_density(spec)
-        minima = {q: min_eigenvalue(spa_pt(rho, q, CANONICAL_WEIGHT)) for q in QUBITS}
-        verdict = decide_minima(minima, args.eps)
-        cells = [_fmt(v) for v in params]
-        cells += [_fmt(minima["A"]), _fmt(minima["B"]), _fmt(minima["C"]),
-                  _fmt(max(minima.values())),
-                  verdict.kind + (":" + "+".join(verdict.cuts) if verdict.kind == "biseparable" else "")]
+        minima = channel_minima(to_density(spec))
+        cells = [_fmt(v) for v in params] + _minima_cells(minima)
+        cells.append(decide_minima(minima, args.eps).label)
         if args.tangle:
             psi = pure_amplitudes(spec)
             if psi is None:
@@ -379,14 +338,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.fn(args, sys.stdout)
-    except _INPUT_ERRORS as exc:
+        code = args.fn(args, out)
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,19 @@
-"""Exception types raised by the public API."""
+"""Exception types raised by the public API.
+
+Every input error derives from :class:`InputError` (the command line maps it
+to exit code 2); :class:`NumericalFailure` is an internal failure (exit 1).
+"""
 
 
-class NonSquare(ValueError):
+class InputError(ValueError):
+    """Base of every error caused by bad input rather than by the solver."""
+
+
+class NonSquare(InputError):
     """Matrix operation received a non-square matrix."""
 
 
-class NotHermitian(ValueError):
+class NotHermitian(InputError):
     """Hermiticity defect of the input exceeds the allowed tolerance."""
 
     def __init__(self, defect: float, tol: float):
@@ -14,23 +22,23 @@ class NotHermitian(ValueError):
         super().__init__(f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}")
 
 
-class NotNormalized(ValueError):
+class NotNormalized(InputError):
     """Pure-state amplitudes do not have unit norm."""
 
 
-class BadWeights(ValueError):
+class BadWeights(InputError):
     """Mixture weights are negative or do not sum to one."""
 
 
-class UnknownName(ValueError):
+class UnknownName(InputError):
     """Catalog lookup for a name that does not exist."""
 
 
-class ParamOutOfRange(ValueError):
+class ParamOutOfRange(InputError):
     """A state-family parameter lies outside its documented domain."""
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """A state document does not match the JSON schema."""
 
     def __init__(self, path: str, message: str):
@@ -39,7 +47,7 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-class InvariantViolation(ValueError):
+class InvariantViolation(InputError):
     """A constructed state violates a density-matrix invariant."""
 
     def __init__(self, which: str, detail: str = ""):

@@ -2,9 +2,8 @@
 
 The sweep kernel exists in two interchangeable forms: a loop version compiled
 with numba's ``@njit`` and a vectorized pure-numpy version. The compiled form
-is used by default; setting the environment variable ``SPAPT_NO_NUMBA=1``
-(checked at import time) selects the numpy fallback, as does an unavailable
-numba installation. ``benchmarks/bench_eigensolver.py`` times both.
+runs exactly when numba imports; otherwise the numpy form does.
+``benchmarks/bench_eigensolver.py`` times both.
 
 Each rotation zeroes one off-diagonal pair (p, q) with the unitary
 
@@ -20,7 +19,6 @@ or after ``MAX_SWEEPS`` passes.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -122,24 +120,18 @@ def _sweep_loops(a, off_tol, max_sweeps):
     return np.sort(out)
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("SPAPT_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
+try:
+    from numba import njit
 
+    _sweep_jit = njit(cache=True)(_sweep_loops)
 
-jacobi_eigvalsh_jit = None
-if not _numba_disabled():
-    try:
-        from numba import njit
+    def jacobi_eigvalsh_jit(matrix: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of a complex Hermitian matrix, numba sweeps."""
+        a = np.array(matrix, dtype=np.complex128, order="C")
+        return _sweep_jit(a, OFFDIAG_TOL, MAX_SWEEPS)
 
-        _sweep_jit = njit(cache=True)(_sweep_loops)
-
-        def jacobi_eigvalsh_jit(matrix: np.ndarray) -> np.ndarray:
-            """Ascending eigenvalues of a complex Hermitian matrix, numba sweeps."""
-            a = np.array(matrix, dtype=np.complex128, order="C")
-            return _sweep_jit(a, OFFDIAG_TOL, MAX_SWEEPS)
-
-    except ImportError:
-        jacobi_eigvalsh_jit = None
+except ImportError:
+    jacobi_eigvalsh_jit = None
 
 if jacobi_eigvalsh_jit is not None:
     BACKEND = "numba"

@@ -8,6 +8,7 @@ splits into a 4x4 grid of 2x2 blocks indexed by the A and B bits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,11 +44,20 @@ def ket(label: str) -> np.ndarray:
     return v
 
 
+def _first_nonfinite(values: np.ndarray) -> int | None:
+    """Flat index of the first NaN or infinite entry, or None."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    return int(bad[0]) if bad.size else None
+
+
 def pure_state(amplitudes: Sequence[complex]) -> np.ndarray:
     """Validate and return an 8-amplitude pure state (unit norm required)."""
     psi = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if psi.shape != (DIM,):
         raise NotNormalized(f"expected 8 amplitudes, got {psi.shape}")
+    i = _first_nonfinite(psi)
+    if i is not None:
+        raise NotNormalized(f"amplitude {i} is {psi[i]!r}, not finite")
     norm2 = float(np.sum(np.abs(psi) ** 2))
     if abs(norm2 - 1.0) > NORM_TOL:
         raise NotNormalized(f"squared norm {norm2!r} differs from 1 beyond {NORM_TOL}")
@@ -69,6 +79,9 @@ def as_density_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (DIM, DIM):
         raise InvariantViolation("shape", f"expected 8x8, got {m.shape}")
+    i = _first_nonfinite(m)
+    if i is not None:
+        raise InvariantViolation("finite", f"entry {divmod(i, DIM)} is {m.flat[i]!r}")
     defect = hermiticity_defect(m)
     if defect > RAW_HERM_TOL:
         raise InvariantViolation("hermitian", f"defect {defect:.3e}")
@@ -88,6 +101,9 @@ def convex_mix(parts: Iterable[tuple[float, np.ndarray]]) -> np.ndarray:
     if not parts:
         raise BadWeights("empty mixture")
     weights = np.array([float(w) for w, _ in parts])
+    i = _first_nonfinite(weights)
+    if i is not None:
+        raise BadWeights(f"weight {i} is {weights[i]!r}, not finite")
     if np.any(weights < 0.0):
         raise BadWeights(f"negative weight {weights.min()!r}")
     if abs(weights.sum() - 1.0) > NORM_TOL:
@@ -264,8 +280,12 @@ def catalog(name: str, *params: float) -> StateSpec:
         raise ParamOutOfRange(
             f"{key}: expected {len(param_names)} parameter(s) {param_names}, got {len(params)}"
         )
-    fn(*params)  # validate eagerly so bad specs never leave this call
-    return StateSpec(kind="catalog", name=key, params=tuple(float(p) for p in params))
+    values = tuple(float(p) for p in params)
+    for pname, v in zip(param_names, values):
+        if not math.isfinite(v):
+            raise ParamOutOfRange(f"{key}: {pname}={v!r} is not finite")
+    fn(*values)  # validate eagerly so bad specs never leave this call
+    return StateSpec(kind="catalog", name=key, params=values)
 
 
 def catalog_param_names(name: str) -> tuple[str, ...]:
@@ -324,13 +344,22 @@ def to_density(spec: StateSpec) -> np.ndarray:
 # JSON schema
 # ---------------------------------------------------------------------------
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _finite(x, path) -> float:
+    """``x`` as a float; ``json`` decodes NaN and Infinity, which are rejected here."""
+    if not math.isfinite(x):
+        raise SchemaError(path, f"expected a finite number, got {x!r}")
+    return float(x)
+
+
 def _parse_complex(obj, path):
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(float(obj), 0.0)
-    if isinstance(obj, list) and len(obj) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
-    ):
-        return complex(float(obj[0]), float(obj[1]))
+    if _is_number(obj):
+        return complex(_finite(obj, path), 0.0)
+    if isinstance(obj, list) and len(obj) == 2 and all(_is_number(x) for x in obj):
+        return complex(_finite(obj[0], f"{path}[0]"), _finite(obj[1], f"{path}[1]"))
     raise SchemaError(path, "expected a number or a [re, im] pair")
 
 
@@ -343,8 +372,9 @@ def _parse_real_grid(obj, path):
         raise SchemaError(path, "expected an 8x8 array of numbers")
     for i, row in enumerate(obj):
         for j, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
+            if not _is_number(x):
                 raise SchemaError(f"{path}[{i}][{j}]", "expected a number")
+            _finite(x, f"{path}[{i}][{j}]")
     return np.asarray(obj, dtype=float)
 
 
@@ -398,9 +428,10 @@ def spec_from_obj(obj, path: str = "$") -> StateSpec:
             if not isinstance(part, dict) or set(part) != {"weight", "state"}:
                 raise SchemaError(ppath, "expected an object with 'weight' and 'state'")
             w = part["weight"]
-            if not isinstance(w, (int, float)) or isinstance(w, bool):
+            if not _is_number(w):
                 raise SchemaError(f"{ppath}.weight", "expected a number")
-            out.append((float(w), spec_from_obj(part["state"], f"{ppath}.state")))
+            w = _finite(w, f"{ppath}.weight")
+            out.append((w, spec_from_obj(part["state"], f"{ppath}.state")))
         weights = np.array([w for w, _ in out])
         if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > NORM_TOL:
             raise BadWeights(f"{path}.mix: weights sum to {weights.sum()!r}")
@@ -412,11 +443,10 @@ def spec_from_obj(obj, path: str = "$") -> StateSpec:
     if not isinstance(body["name"], str):
         raise SchemaError(f"{path}.catalog.name", "expected a string")
     params = body.get("params", [])
-    if not isinstance(params, list) or any(
-        not isinstance(p, (int, float)) or isinstance(p, bool) for p in params
-    ):
+    if not isinstance(params, list) or not all(_is_number(p) for p in params):
         raise SchemaError(f"{path}.catalog.params", "expected a list of numbers")
-    return catalog(body["name"], *params)
+    return catalog(body["name"], *(_finite(p, f"{path}.catalog.params[{i}]")
+                                   for i, p in enumerate(params)))
 
 
 def spec_to_obj(spec: StateSpec):

@@ -8,7 +8,9 @@ from spapt import (
     FULLY_SEPARABLE,
     GENUINE,
     SpectralSummary,
+    Verdict,
     catalog,
+    channel_minima,
     classify,
     classify_summary,
     cut_passes_threshold,
@@ -49,6 +51,14 @@ class TestSpectralSummary:
             s = spectral_summary(to_density(catalog("rho1", q)))
             for lam in (s.lam_a, s.lam_b, s.lam_c):
                 assert lam == pytest.approx(q / 10.0, abs=1e-12)
+
+    def test_channel_minima_per_cut_and_weight(self):
+        rho = to_density(catalog("ghz", INV2, INV2))
+        assert channel_minima(rho) == spectral_summary(rho).per_cut()
+        # affine law at p = 0.9 on one cut: 0.9/8 + 0.1 * (-1/2)
+        only_b = channel_minima(rho, 0.9, ("B",))
+        assert list(only_b) == ["B"]
+        assert only_b["B"] == pytest.approx(0.9 / 8 - 0.05, abs=1e-12)
 
     def test_bounds_enforced(self):
         with pytest.raises(NumericalFailure):
@@ -119,12 +129,44 @@ class TestDecisionTable:
     def test_boundary_counts_as_passing_within_eps(self):
         v = decide_minima({"A": 0.1 - 5e-10, "B": 0.09, "C": 0.09}, eps=1e-9)
         assert v.kind == BISEPARABLE
+        assert v.margin == 0.0  # passing only within eps: zero, never negative
+        v = decide_minima({"A": 0.1 - 1e-12, "B": 0.2, "C": 0.2})
+        assert v.kind == FULLY_SEPARABLE and v.margin == 0.0
         v = decide_minima({"A": 0.1 - 5e-10, "B": 0.09, "C": 0.09}, eps=1e-12)
         assert v.kind == GENUINE
 
     def test_all_and_none(self):
         assert decide_minima({"A": 0.1, "B": 0.1, "C": 0.1}).kind == FULLY_SEPARABLE
         assert decide_minima({"A": 0.0, "B": 0.05, "C": 0.09}).kind == GENUINE
+
+    @pytest.mark.parametrize("margin", [-1e-17, float("nan")])
+    def test_verdict_rejects_negative_or_nan_margin(self, margin):
+        with pytest.raises(NumericalFailure, match="margin"):
+            Verdict(GENUINE, (), margin)
+
+    @pytest.mark.parametrize("cut", ["A", "B", "C"])
+    def test_nan_minimum_on_any_cut_is_a_numerical_failure(self, cut):
+        # NaN fails every comparison, so it would decide the verdict
+        minima = {"A": 0.05, "B": 0.05, "C": 0.05, cut: float("nan")}
+        with pytest.raises(NumericalFailure, match="not all finite"):
+            decide_minima(minima)
+
+    def test_label(self):
+        assert Verdict(GENUINE, (), 0.1).label == "genuine-entangled"
+        assert Verdict(FULLY_SEPARABLE, ("A-BC", "B-AC", "C-AB"), 0.0).label == "fully-separable"
+        assert Verdict(BISEPARABLE, ("A-BC", "C-AB"), 0.0).label == "biseparable:A-BC+C-AB"
+
+    @pytest.mark.parametrize("family, grid", [
+        ("s3", [(q,) for q in np.linspace(0.0, 1.0, 201)]),
+        ("b1", [(q,) for q in np.linspace(0.0, 1.0, 201)]),
+        ("b2", [(0.1, 0.4, 0.911), (0.2, 0.4, 0.8944), (0.6, 0.1, 0.7937), (0.5, 0.4, 0.7681)]),
+    ], ids=["s3", "b1", "b2"])
+    def test_threshold_exact_families_keep_margin_nonnegative(self, family, grid):
+        # some cut of each family sits exactly on 1/10 (b2: the table-2
+        # rows); the solver lands a few ulp either side of it
+        for params in grid:
+            v = classify(to_density(catalog(family, *params)))
+            assert v.margin >= 0.0
 
     def test_summary_wrapper_agrees(self):
         s = SpectralSummary(0.12, 0.05, 0.06)

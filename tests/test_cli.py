@@ -143,6 +143,32 @@ class TestClassifyCommand:
         assert report["verdict"]["kind"] == "genuine-entangled"
         assert abs(report["spa_min"]["max"]) <= 1e-10
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"catalog": {"name": "kye", "params": [float("nan")]}}, "$.catalog.params[0]"),
+        ({"catalog": {"name": "b1", "params": [float("inf")]}}, "$.catalog.params[0]"),
+        ({"pure": {"amplitudes": [float("nan"), 0, 0, 0, 0, 0, 0, 1]}}, "$.pure.amplitudes[0]"),
+        ({"pure": {"amplitudes": [1, [0, float("-inf")], 0, 0, 0, 0, 0, 0]}},
+         "$.pure.amplitudes[1][1]"),
+        ({"matrix": {"re": [[float("nan") if (i, j) == (2, 3) else float(i == j) / 8
+                             for j in range(8)] for i in range(8)]}}, "$.matrix.re[2][3]"),
+        ({"matrix": {"re": (np.eye(8) / 8).tolist(),
+                     "im": [[float("inf")] + [0.0] * 7] + [[0.0] * 8] * 7}}, "$.matrix.im[0][0]"),
+        ({"mix": {"parts": [
+            {"weight": float("nan"), "state": {"catalog": {"name": "g2"}}},
+            {"weight": 1.0, "state": {"catalog": {"name": "wtilde"}}},
+        ]}}, "$.mix.parts[0].weight"),
+        ({"mix": {"parts": [
+            {"weight": 1.0, "state": {"catalog": {"name": "s3", "params": [float("nan")]}}},
+        ]}}, "$.mix.parts[0].state.catalog.params[0]"),
+    ])
+    def test_non_finite_numbers_exit_2_naming_the_field(self, tmp_path, capsys, doc, where):
+        # json decodes NaN and Infinity; they must not reach the solver
+        code, out, err = run_cli(["classify", write_state(tmp_path, doc)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {where}: ")
+        assert "finite" in err
+
     def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         from spapt.errors import NumericalFailure
 
@@ -151,8 +177,9 @@ class TestClassifyCommand:
 
         monkeypatch.setattr("spapt.cli.hermitian_eigenvalues", boom)
         path = write_state(tmp_path, {"catalog": {"name": "g2"}})
-        code, _, err = run_cli(["classify", path], capsys)
+        code, out, err = run_cli(["classify", path], capsys)
         assert code == 1
+        assert out == ""
         assert "numerical failure" in err
 
 
@@ -242,8 +269,42 @@ class TestScanCommand:
         assert float(rows[1].split(",")[-1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_tangle_on_mixed_family_exits_2(self, capsys):
-        code, _, err = run_cli(["scan", "s2", "--grid", "alpha=0.5", "--tangle"], capsys)
+        code, out, err = run_cli(["scan", "s2", "--grid", "alpha=0.5", "--tangle"], capsys)
         assert code == 2
+        assert out == ""
+
+    def test_bad_second_grid_point_leaves_stdout_empty(self, capsys):
+        # the first point is valid; the second is off-norm, so no partial CSV
+        code, out, err = run_cli(
+            ["scan", "ghz", "--grid", "alpha=0.7071,0.5", "--grid", "beta=0.7071"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ghz: squared norm")
+
+    def test_non_finite_grid_value_exits_2(self, capsys):
+        code, out, err = run_cli(["scan", "kye", "--grid", "a=4,nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: kye: a=nan is not finite")
+
+    def test_numerical_failure_on_second_row_leaves_stdout_empty(self, capsys, monkeypatch):
+        from spapt import cli
+        from spapt.errors import NumericalFailure
+
+        real, calls = cli.to_density, []
+
+        def fail_second(spec):
+            calls.append(spec)
+            if len(calls) == 2:
+                raise NumericalFailure("synthetic")
+            return real(spec)
+
+        monkeypatch.setattr(cli, "to_density", fail_second)
+        code, out, err = run_cli(["scan", "ghz-w", "--grid", "q=0.1,0.2,0.3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: synthetic")
 
     def test_deterministic_row_order(self, capsys):
         _, first, _ = run_cli(

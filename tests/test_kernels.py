@@ -1,10 +1,6 @@
 """Backend-level checks for the Jacobi eigenvalue kernels."""
 
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from spapt import kernels
 from support import random_hermitian
@@ -51,21 +47,3 @@ def test_input_matrix_not_mutated():
     kernels.jacobi_eigvalsh(h)
     kernels.jacobi_eigvalsh_numpy(h)
     np.testing.assert_array_equal(h, before)
-
-
-@pytest.mark.skipif(kernels.jacobi_eigvalsh_jit is None, reason="numba not active")
-def test_env_flag_selects_numpy_fallback():
-    code = (
-        "import spapt.kernels as k; "
-        "assert k.BACKEND == 'numpy'; "
-        "assert k.jacobi_eigvalsh is k.jacobi_eigvalsh_numpy; "
-        "print('ok')"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True,
-        env={"SPAPT_NO_NUMBA": "1", "PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        cwd=str(__import__("pathlib").Path(__file__).resolve().parents[1]),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"

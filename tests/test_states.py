@@ -11,11 +11,14 @@ from spapt import (
     ket,
     parse_state_file,
     pure_amplitudes,
+    pure_state,
     render_state_spec,
     to_density,
 )
+from spapt import errors
 from spapt.errors import (
     BadWeights,
+    InputError,
     InvariantViolation,
     NotNormalized,
     ParamOutOfRange,
@@ -202,6 +205,33 @@ class TestValidation:
         with pytest.raises(InvariantViolation) as err:
             as_density_matrix(np.eye(8, dtype=complex))
         assert err.value.which == "trace"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_numbers_rejected_by_name(self, bad):
+        # NaN slips through every `abs(x - 1) > tol` check, so each
+        # constructor tests finiteness first and says which number failed
+        amps = [bad, 0, 0, 0, 0, 0, 0, 1]
+        with pytest.raises(NotNormalized, match="amplitude 0"):
+            pure_state(amps)
+        m = np.eye(8, dtype=complex) / 8.0
+        m[2, 5] = bad
+        with pytest.raises(InvariantViolation, match=r"\(2, 5\)") as err:
+            as_density_matrix(m)
+        assert err.value.which == "finite"
+        with pytest.raises(BadWeights, match="weight 1"):
+            convex_mix([(1.0, np.eye(8) / 8.0), (bad, np.eye(8) / 8.0)])
+        for name, params, field in [("kye", (bad,), "a"), ("rho2", (0.5, bad), "q2"),
+                                    ("ghz", (bad, INV2), "alpha")]:
+            with pytest.raises(ParamOutOfRange, match=f"{name}: {field}="):
+                catalog(name, *params)
+
+    def test_every_input_error_shares_one_base(self):
+        names = ["NonSquare", "NotHermitian", "NotNormalized", "BadWeights", "UnknownName",
+                 "ParamOutOfRange", "SchemaError", "InvariantViolation"]
+        for name in names:
+            assert issubclass(getattr(errors, name), InputError)
+        assert issubclass(InputError, ValueError)
+        assert not issubclass(errors.NumericalFailure, InputError)
 
 
 class TestJsonSchema:
