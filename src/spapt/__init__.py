@@ -22,7 +22,6 @@ from .classify import (
     decide_minima,
     spectral_summary,
 )
-from .kernels import BACKEND
 from .linalg import dagger, hermitian_eigenvalues, is_psd, kron, min_eigenvalue
 from .ptranspose import QUBITS, is_ppt_cut, partial_transpose, pt_min_eigenvalue
 from .spa import (
@@ -55,7 +54,6 @@ from .tangle import GHZ_CLASS, NOT_GENUINE, W_CLASS, pure_subclass, three_tangle
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BISEPARABLE",
     "CANONICAL_WEIGHT",
     "FULLY_SEPARABLE",

@@ -266,7 +266,11 @@ def cmd_scan(args, out) -> int:
     check_eps(args.eps)
     family = args.family.lower()
     param_names = catalog_param_names(family)
-    grids = dict(_parse_grid(g) for g in args.grid or [])
+    grids = {}
+    for name, values in map(_parse_grid, args.grid or []):
+        if name in grids:
+            raise SchemaError("--grid", f"parameter {name!r} is given more than once")
+        grids[name] = values
     unknown = set(grids) - set(param_names)
     if unknown:
         raise ParamOutOfRange(

@@ -1,19 +1,31 @@
 """Dense complex matrix helpers and the Hermitian eigensolver.
 
-Everything here is agnostic of the quantum layers above; matrices are plain
-``numpy.ndarray`` values of dtype complex128. The eigensolver is the cyclic
-Jacobi kernel from :mod:`spapt.kernels`, adequate for the 8x8 working size
-and the 64x64 operators built by :mod:`spapt.spa`.
+Matrices are plain complex128 ``numpy.ndarray`` values, agnostic of the
+quantum layers above. The one eigensolver is a cyclic Jacobi kernel in numpy,
+sized for the 8x8 working matrices and the 64x64 operators of :mod:`spapt.spa`.
+
+Each rotation zeroes one off-diagonal pair (p, q) with the unitary
+
+    U[p, p] = c          U[p, q] = -s * exp(i*phi)
+    U[q, p] = s * exp(-i*phi)   U[q, q] = c
+
+where ``a[p, q] = m * exp(i*phi)`` and ``t = s/c`` is the smaller-magnitude
+root of ``t^2 - 2*tau*t - 1 = 0`` with ``tau = (a[q,q] - a[p,p]) / (2*m)``.
+Sweeps stop when the off-diagonal Frobenius norm drops below ``OFFDIAG_TOL``
+or after ``MAX_SWEEPS`` passes.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from . import kernels
 from .errors import NonSquare, NotHermitian, NumericalFailure
 
 HERMITICITY_TOL = 1e-10
+OFFDIAG_TOL = 1e-13
+MAX_SWEEPS = 100
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -42,6 +54,53 @@ def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     return (m + dagger(m)) / 2.0
 
 
+def _offdiag_norm(a: np.ndarray) -> float:
+    s = a - np.diag(np.diagonal(a))
+    return float(np.sqrt(np.sum(np.abs(s) ** 2)))
+
+
+def _rotation(app: float, aqq: float, apq: complex):
+    """Return (c, s, phase) zeroing the (p, q) element of a 2x2 Hermitian block."""
+    m = abs(apq)
+    phase = apq / m
+    tau = (aqq - app) / (2.0 * m)
+    if abs(tau) > 1e150:
+        t = -0.5 / tau  # sqrt(1 + tau^2) would overflow; asymptotic root
+    elif tau >= 0.0:
+        t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
+    else:
+        t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    return c, t * c, phase
+
+
+def _jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a complex Hermitian matrix by Jacobi sweeps."""
+    a = np.array(matrix, dtype=np.complex128)
+    n = a.shape[0]
+    for _ in range(MAX_SWEEPS):
+        if _offdiag_norm(a) < OFFDIAG_TOL:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) < 1e-300:
+                    continue
+                c, s, ph = _rotation(a[p, p].real, a[q, q].real, apq)
+                phc = ph.conjugate()
+                colp = a[:, p].copy()
+                colq = a[:, q].copy()
+                a[:, p] = c * colp + (s * phc) * colq
+                a[:, q] = (-s * ph) * colp + c * colq
+                rowp = a[p, :].copy()
+                rowq = a[q, :].copy()
+                a[p, :] = c * rowp + (s * ph) * rowq
+                a[q, :] = (-s * phc) * rowp + c * rowq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    return np.sort(np.diagonal(a).real.copy())
+
+
 def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
@@ -52,7 +111,7 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     not converge and raises :class:`NumericalFailure`.
     """
     h = _check_hermitian(m, tol)
-    w = kernels.jacobi_eigvalsh(h)
+    w = _jacobi_eigvalsh(h)
     tr = float(np.trace(h).real)
     tr2 = float(np.trace(h @ h).real)
     bound = tol * max(1.0, abs(tr2))

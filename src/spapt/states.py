@@ -272,10 +272,8 @@ def _rho2(q1, q2):
 
 def catalog(name: str, *params: float) -> StateSpec:
     """StateSpec for a named state family with the given real parameters."""
+    param_names = catalog_param_names(name)
     key = str(name).lower()
-    if key not in _CATALOG:
-        raise UnknownName(f"unknown catalog state {name!r}; known: {sorted(_CATALOG)}")
-    param_names, fn = _CATALOG[key]
     if len(params) != len(param_names):
         raise ParamOutOfRange(
             f"{key}: expected {len(param_names)} parameter(s) {param_names}, got {len(params)}"
@@ -284,7 +282,7 @@ def catalog(name: str, *params: float) -> StateSpec:
     for pname, v in zip(param_names, values):
         if not math.isfinite(v):
             raise ParamOutOfRange(f"{key}: {pname}={v!r} is not finite")
-    fn(*values)  # validate eagerly so bad specs never leave this call
+    _CATALOG[key][1](*values)  # validate eagerly so bad specs never leave this call
     return StateSpec(kind="catalog", name=key, params=values)
 
 
@@ -476,10 +474,11 @@ def spec_to_obj(spec: StateSpec):
 def parse_state_file(text: str) -> StateSpec:
     """Parse a JSON state document (see README for the schema)."""
     try:
-        obj = json.loads(text)
+        return spec_from_obj(json.loads(text))
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    return spec_from_obj(obj)
+    except RecursionError as exc:
+        raise SchemaError("$", "document is nested too deeply") from exc
 
 
 def render_state_spec(spec: StateSpec) -> str:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spapt import (
     BISEPARABLE,
@@ -27,6 +29,7 @@ from support import (
     product_state,
     random_qubit,
     random_state_mixed_or_pure,
+    random_unitary,
     swap_bc_matrix,
 )
 
@@ -230,3 +233,37 @@ class TestSymmetries:
             v = classify(np.outer(psi, psi.conj()))
             assert v.kind == BISEPARABLE
             assert v.cuts == (cut,)
+
+
+def swap_qubits(rho: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Exchange qubits ``i`` and ``j`` (0 = A) on both the ket and bra legs."""
+    axes = list(range(6))
+    axes[i], axes[j] = axes[j], axes[i]
+    axes[3 + i], axes[3 + j] = axes[3 + j], axes[3 + i]
+    return rho.reshape((2,) * 6).transpose(axes).reshape(8, 8)
+
+
+class TestChannelMinimaProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_invariant_under_local_unitaries(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_state_mixed_or_pure(rng)
+        u = np.kron(np.kron(random_unitary(rng, 2), random_unitary(rng, 2)),
+                    random_unitary(rng, 2))
+        before = channel_minima(rho)
+        after = channel_minima(u @ rho @ u.conj().T)
+        for q in "ABC":
+            assert after[q] == pytest.approx(before[q], abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    def test_qubit_swap_swaps_cut_minima(self, seed, pair):
+        i, j = pair
+        rho = random_state_mixed_or_pure(np.random.default_rng(seed))
+        before = channel_minima(rho)
+        after = channel_minima(swap_qubits(rho, i, j))
+        labels = list("ABC")
+        labels[i], labels[j] = labels[j], labels[i]
+        for q, moved_to in zip("ABC", labels):
+            assert after[moved_to] == pytest.approx(before[q], abs=1e-9)

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spapt
 from spapt import classify, parse_state_file, to_density
 from spapt.cli import main
 
@@ -182,6 +187,33 @@ class TestClassifyCommand:
         assert out == ""
         assert "numerical failure" in err
 
+    def test_deeply_nested_document_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_mix(400), encoding="utf-8")
+        code, out, err = run_cli(["classify", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: $:")
+
+    def test_moderately_nested_document_classifies(self, tmp_path):
+        # a fresh process: pytest's own frames would use up the recursion
+        # budget that a command-line run has for parsing
+        path = tmp_path / "nested.json"
+        path.write_text(nested_mix(240), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(spapt.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "spapt.cli", "classify", str(path)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        # the report echoes the input, too deep to decode under pytest's frames
+        assert '"kind": "genuine-entangled"' in run.stdout
+
+
+def nested_mix(depth: int) -> str:
+    """A GHZ catalog document wrapped in ``depth`` single-part mixtures, built
+    as text so that no encoder recursion limits the depth."""
+    ghz = json.dumps({"catalog": {"name": "ghz", "params": [INV2, INV2]}})
+    return '{"mix": {"parts": [{"weight": 1.0, "state": ' * depth + ghz + "}]}}" * depth
+
 
 class TestReproduceCommand:
     def test_table2_verdicts_all_c_cut(self, capsys):
@@ -281,6 +313,13 @@ class TestScanCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ghz: squared norm")
+
+    def test_repeated_grid_name_exits_2(self, capsys):
+        code, out, err = run_cli(["scan", "ghz-w", "--grid", "q=0.1", "--grid", "q=0.9"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --grid:")
+        assert "'q'" in err
 
     def test_non_finite_grid_value_exits_2(self, capsys):
         code, out, err = run_cli(["scan", "kye", "--grid", "a=4,nan"], capsys)

@@ -61,6 +61,27 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0]).astype(complex)), [1, 2, 3]
         )
 
+    def test_scalar_input(self):
+        np.testing.assert_allclose(hermitian_eigenvalues(np.array([[4.0 + 0j]])), [4.0])
+
+    def test_matches_lapack_8x8(self):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            h = random_hermitian(rng, 8)
+            np.testing.assert_allclose(
+                hermitian_eigenvalues(h), np.linalg.eigvalsh(h), atol=1e-12
+            )
+
+    def test_matches_lapack_at_choi_size(self):
+        h = random_hermitian(np.random.default_rng(13), 64)
+        np.testing.assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h), atol=1e-11)
+
+    def test_input_not_mutated(self):
+        h = random_hermitian(np.random.default_rng(14), 8)
+        before = h.copy()
+        hermitian_eigenvalues(h)
+        np.testing.assert_array_equal(h, before)
+
     def test_balanced_ghz_pt_spectrum(self):
         expected = np.sort([-0.5, 0, 0, 0, 0, 0.5, 0.5, 0.5])
         np.testing.assert_allclose(hermitian_eigenvalues(ghz_pt_a()), expected, atol=1e-12)
