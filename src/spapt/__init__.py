@@ -13,17 +13,14 @@ from .classify import (
     BISEPARABLE,
     FULLY_SEPARABLE,
     GENUINE,
-    SpectralSummary,
     Verdict,
     channel_minima,
     classify,
-    classify_summary,
     cut_passes_threshold,
     decide_minima,
-    spectral_summary,
 )
-from .linalg import dagger, hermitian_eigenvalues, is_psd, kron, min_eigenvalue
-from .ptranspose import QUBITS, is_ppt_cut, partial_transpose, pt_min_eigenvalue
+from .linalg import dagger, hermitian_eigenvalues, min_eigenvalue
+from .ptranspose import QUBITS, partial_transpose
 from .spa import (
     CANONICAL_WEIGHT,
     THRESHOLD,
@@ -33,7 +30,6 @@ from .spa import (
     spa_bipartite_threshold,
     spa_element_map,
     spa_pt,
-    spa_pt_canonical,
 )
 from .states import (
     StateSpec,
@@ -46,7 +42,6 @@ from .states import (
     parse_state_file,
     pure_amplitudes,
     pure_state,
-    render_state_spec,
     to_density,
 )
 from .tangle import GHZ_CLASS, NOT_GENUINE, W_CLASS, pure_subclass, three_tangle_pure
@@ -61,7 +56,6 @@ __all__ = [
     "GHZ_CLASS",
     "NOT_GENUINE",
     "QUBITS",
-    "SpectralSummary",
     "StateSpec",
     "THRESHOLD",
     "Verdict",
@@ -72,32 +66,24 @@ __all__ = [
     "channel_minima",
     "choi_matrix",
     "classify",
-    "classify_summary",
     "convex_mix",
     "cut_passes_threshold",
     "dagger",
     "decide_minima",
     "density_from_pure",
     "hermitian_eigenvalues",
-    "is_ppt_cut",
-    "is_psd",
     "ket",
-    "kron",
     "min_choi_psd_parameter",
     "min_cp_parameter",
     "min_eigenvalue",
     "parse_state_file",
     "partial_transpose",
-    "pt_min_eigenvalue",
     "pure_amplitudes",
     "pure_state",
     "pure_subclass",
-    "render_state_spec",
     "spa_bipartite_threshold",
     "spa_element_map",
     "spa_pt",
-    "spa_pt_canonical",
-    "spectral_summary",
     "three_tangle_pure",
     "to_density",
 ]

@@ -32,31 +32,7 @@ GENUINE = "genuine-entangled"
 BISEPARABLE = "biseparable"
 FULLY_SEPARABLE = "fully-separable"
 
-# Canonical channel minima live in [0, 0.3]: 1/10 + (1/5)*mu with mu in [-1/2, 1].
-_LAM_LO, _LAM_HI = -1e-10, 0.3 + 1e-10
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Minimum eigenvalues of the three canonical channel outputs."""
-
-    lam_a: float
-    lam_b: float
-    lam_c: float
-
-    def __post_init__(self):
-        for name, lam in zip("abc", (self.lam_a, self.lam_b, self.lam_c)):
-            if not _LAM_LO <= lam <= _LAM_HI:
-                raise NumericalFailure(
-                    f"channel minimum lam_{name}={lam!r} outside [0, 0.3]"
-                )
-
-    @property
-    def lam_max(self) -> float:
-        return max(self.lam_a, self.lam_b, self.lam_c)
-
-    def per_cut(self) -> dict[str, float]:
-        return {"A": self.lam_a, "B": self.lam_b, "C": self.lam_c}
+_LAM_SLACK = 1e-10  # on the range of a channel minimum, see channel_minima
 
 
 @dataclass(frozen=True)
@@ -98,13 +74,18 @@ def check_eps(eps: float) -> None:
 
 
 def channel_minima(rho, p: float = CANONICAL_WEIGHT, cuts=QUBITS) -> dict[str, float]:
-    """Smallest eigenvalue of the channel output at weight ``p``, per cut."""
-    return {q: min_eigenvalue(spa_pt(rho, q, p)) for q in cuts}
+    """Smallest eigenvalue of the channel output at weight ``p``, per cut.
 
-
-def spectral_summary(rho) -> SpectralSummary:
-    """Canonical channel minima of ``rho`` for all three cuts."""
-    return SpectralSummary(*channel_minima(rho).values())
+    A partial-transpose spectrum lies in [-1/2, 1], so by the affine law each
+    minimum lies in ``[p/8 - (1-p)/2, p/8 + (1-p)]`` ([0, 0.3] at 4/5); one
+    outside it (beyond ``_LAM_SLACK``) raises :class:`NumericalFailure`.
+    """
+    minima = {q: min_eigenvalue(spa_pt(rho, q, p)) for q in cuts}
+    lo, hi = round(p / 8.0 - (1.0 - p) / 2.0, 12), round(p / 8.0 + (1.0 - p), 12)
+    for q, lam in minima.items():
+        if not lo - _LAM_SLACK <= lam <= hi + _LAM_SLACK:
+            raise NumericalFailure(f"channel minimum of cut {q}, {lam!r}, outside [{lo}, {hi}]")
+    return minima
 
 
 def decide_minima(
@@ -122,16 +103,9 @@ def decide_minima(
     return Verdict(kind, tuple(CUT_NAMES[q] for q in passing), margin)
 
 
-def classify_summary(
-    summary: SpectralSummary, eps: float = DEFAULT_EPS, threshold: float = THRESHOLD
-) -> Verdict:
-    """Apply the decision table to precomputed canonical channel minima."""
-    return decide_minima(summary.per_cut(), eps, threshold)
-
-
 def classify(rho, eps: float = DEFAULT_EPS) -> Verdict:
     """Classify a three-qubit density matrix per the decision table."""
-    return classify_summary(spectral_summary(rho), eps)
+    return decide_minima(channel_minima(rho), eps)
 
 
 def cut_passes_threshold(rho, q: str, eps: float = DEFAULT_EPS) -> bool:

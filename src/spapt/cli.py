@@ -123,7 +123,7 @@ def cmd_classify(args, out) -> int:
         try:
             with open(args.state_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError("$", f"cannot read {args.state_file}: {exc}") from exc
     spec = parse_state_file(text)
     report = build_report(

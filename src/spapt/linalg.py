@@ -33,11 +33,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (dimensions multiply)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of ``m`` from its conjugate transpose."""
     m = np.asarray(m)
@@ -125,8 +120,3 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
 def min_eigenvalue(m: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(hermitian_eigenvalues(m, tol)[0])
-
-
-def is_psd(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """True when ``m`` is Hermitian (within ``tol``) with spectrum >= -tol."""
-    return min_eigenvalue(m, tol) >= -tol

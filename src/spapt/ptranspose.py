@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import min_eigenvalue
-
 QUBITS = ("A", "B", "C")
 _BIT = {"A": 0, "B": 1, "C": 2}
-
-PPT_TOL = 1e-10
 
 
 def qubit_index(q: str) -> int:
@@ -46,13 +42,3 @@ def partial_transpose(rho: np.ndarray, q: str) -> np.ndarray:
     if rho.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {rho.shape}")
     return transpose_bits(rho, 3, qubit_index(q))
-
-
-def pt_min_eigenvalue(rho: np.ndarray, q: str) -> float:
-    """Smallest eigenvalue of the partial transpose across cut ``q``."""
-    return min_eigenvalue(partial_transpose(rho, q))
-
-
-def is_ppt_cut(rho: np.ndarray, q: str, tol: float = PPT_TOL) -> bool:
-    """True when the partial transpose across ``q`` is PSD within ``tol``."""
-    return pt_min_eigenvalue(rho, q) >= -tol

@@ -58,19 +58,14 @@ def spa_pt(rho: np.ndarray, q: str, p: float) -> np.ndarray:
     return (p / 8.0) * np.eye(8, dtype=np.complex128) + (1.0 - p) * partial_transpose(rho, q)
 
 
-def spa_pt_canonical(rho: np.ndarray, q: str) -> np.ndarray:
-    """Channel output at the canonical weight 4/5 (PSD for every valid input)."""
-    return spa_pt(rho, q, CANONICAL_WEIGHT)
-
-
 def spa_element_map(rho: np.ndarray) -> np.ndarray:
     """Canonical qubit-A output assembled entry by entry.
 
     Writes each upper-triangle entry of the output directly from the input
     entries (diagonal gets 1/10 + t/5, the a=0/a'=1 corner pulls conjugated
     entries from the mirrored positions, everything else is t/5), then fills
-    the lower triangle by Hermiticity. Must agree with
-    ``spa_pt_canonical(rho, 'A')`` entrywise; the two routes cross-check the
+    the lower triangle by Hermiticity. Must agree entrywise with
+    ``spa_pt(rho, 'A', CANONICAL_WEIGHT)``; the two routes cross-check the
     transposition indexing.
     """
     t = np.asarray(rho, dtype=np.complex128)

@@ -31,6 +31,9 @@ RAW_HERM_TOL = 1e-8
 # Named catalog entries renormalize their amplitude parameters when the norm
 # is off by at most this much; direct "pure" input stays strict at NORM_TOL.
 CATALOG_NORM_SLACK = 1e-3
+# Deepest accepted nesting of "mix" objects in a state document. A fixed limit,
+# so acceptance does not depend on how deep the caller's stack already is.
+MAX_MIX_DEPTH = 64
 
 DIM = 8
 
@@ -129,19 +132,6 @@ class StateSpec:
     parts: tuple[tuple[float, "StateSpec"], ...] | None = None
     name: str | None = None
     params: tuple[float, ...] | None = None
-
-
-def pure_spec(amplitudes: Sequence[complex]) -> StateSpec:
-    return StateSpec(kind="pure", amplitudes=tuple(complex(a) for a in amplitudes))
-
-
-def matrix_spec(m: np.ndarray) -> StateSpec:
-    m = np.asarray(m, dtype=np.complex128)
-    return StateSpec(kind="matrix", matrix=tuple(tuple(row) for row in m))
-
-
-def mix_spec(parts: Sequence[tuple[float, StateSpec]]) -> StateSpec:
-    return StateSpec(kind="mix", parts=tuple((float(w), s) for w, s in parts))
 
 
 # name -> (parameter names, realization); realizations defined below
@@ -376,8 +366,12 @@ def _parse_real_grid(obj, path):
     return np.asarray(obj, dtype=float)
 
 
-def spec_from_obj(obj, path: str = "$") -> StateSpec:
-    """Build a StateSpec from decoded JSON, validating shape and invariants."""
+def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
+    """Build a StateSpec from decoded JSON, validating shape and invariants.
+
+    ``depth`` counts the enclosing ``mix`` objects; a ``mix`` inside
+    ``MAX_MIX_DEPTH`` others is rejected.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     keys = set(obj)
@@ -395,7 +389,7 @@ def spec_from_obj(obj, path: str = "$") -> StateSpec:
         values = [
             _parse_complex(a, f"{path}.pure.amplitudes[{i}]") for i, a in enumerate(amps)
         ]
-        spec = pure_spec(values)
+        spec = StateSpec(kind="pure", amplitudes=tuple(values))
         pure_state(spec.amplitudes)  # norm invariant at parse time
         return spec
 
@@ -409,11 +403,13 @@ def spec_from_obj(obj, path: str = "$") -> StateSpec:
             if "im" in body
             else np.zeros((DIM, DIM))
         )
-        spec = matrix_spec(re + 1j * im)
+        spec = StateSpec(kind="matrix", matrix=tuple(tuple(row) for row in re + 1j * im))
         to_density(spec)  # hermitian/trace/PSD invariants at parse time
         return spec
 
     if "mix" in obj:
+        if depth >= MAX_MIX_DEPTH:
+            raise SchemaError(f"{path}.mix", f"mix nested more than {MAX_MIX_DEPTH} levels deep")
         body = obj["mix"]
         if not isinstance(body, dict) or set(body) != {"parts"}:
             raise SchemaError(f"{path}.mix", "expected an object with 'parts'")
@@ -429,11 +425,11 @@ def spec_from_obj(obj, path: str = "$") -> StateSpec:
             if not _is_number(w):
                 raise SchemaError(f"{ppath}.weight", "expected a number")
             w = _finite(w, f"{ppath}.weight")
-            out.append((w, spec_from_obj(part["state"], f"{ppath}.state")))
+            out.append((w, spec_from_obj(part["state"], f"{ppath}.state", depth + 1)))
         weights = np.array([w for w, _ in out])
         if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > NORM_TOL:
             raise BadWeights(f"{path}.mix: weights sum to {weights.sum()!r}")
-        return mix_spec(out)
+        return StateSpec(kind="mix", parts=tuple(out))
 
     body = obj["catalog"]
     if not isinstance(body, dict) or not {"name"} <= set(body) or not set(body) <= {"name", "params"}:
@@ -479,7 +475,3 @@ def parse_state_file(text: str) -> StateSpec:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("$", "document is nested too deeply") from exc
-
-
-def render_state_spec(spec: StateSpec) -> str:
-    return json.dumps(spec_to_obj(spec))

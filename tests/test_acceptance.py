@@ -10,25 +10,24 @@ import pytest
 
 from spapt import (
     BISEPARABLE,
+    CANONICAL_WEIGHT,
     FULLY_SEPARABLE,
     GENUINE,
     GHZ_CLASS,
     W_CLASS,
     catalog,
+    channel_minima,
     classify,
     density_from_pure,
     hermitian_eigenvalues,
-    is_ppt_cut,
     ket,
     min_cp_parameter,
     min_eigenvalue,
     partial_transpose,
-    pt_min_eigenvalue,
     pure_amplitudes,
     pure_subclass,
     spa_element_map,
-    spa_pt_canonical,
-    spectral_summary,
+    spa_pt,
     three_tangle_pure,
     to_density,
 )
@@ -61,7 +60,7 @@ def test_criterion_1_ghz_pt_spectrum():
         expected = np.sort([0, 0, 0, 0, a * a, b * b, abs(a * b), -abs(a * b)])
         np.testing.assert_allclose(got, expected, atol=1e-12)
     rho = density_from_pure(INV2 * (ket("000") + ket("111")))
-    assert pt_min_eigenvalue(rho, "A") == pytest.approx(-0.5, abs=1e-12)
+    assert min_eigenvalue(partial_transpose(rho, "A")) == pytest.approx(-0.5, abs=1e-12)
     _passed("criterion 1: GHZ partial-transpose spectrum, 50 unit-circle points at 1e-12")
 
 
@@ -85,9 +84,9 @@ def test_criterion_2_w_pt_spectra_all_cuts():
     per_cut_extremes = []
     for q in "ABC":
         per_cut_extremes.append(min(
-            pt_min_eigenvalue(
+            min_eigenvalue(partial_transpose(
                 density_from_pure(p[0] * ket("001") + p[1] * ket("010") + p[2] * ket("100")), q
-            )
+            ))
             for p in grid
         ))
     assert max(per_cut_extremes) - min(per_cut_extremes) <= 1e-12
@@ -106,7 +105,7 @@ def test_criterion_4_element_map_equivalence():
     for _ in range(100):
         rho = random_density(rng)
         np.testing.assert_allclose(
-            spa_element_map(rho), spa_pt_canonical(rho, "A"), atol=1e-15
+            spa_element_map(rho), spa_pt(rho, "A", CANONICAL_WEIGHT), atol=1e-15
         )
     _passed("criterion 4: element map equals canonical channel on 100 states at 1e-15")
 
@@ -117,10 +116,10 @@ def test_criterion_5_affine_and_threshold_equivalence():
         rho = random_state_mixed_or_pure(rng)
         npt_cuts = 0
         for q in "ABC":
-            lam = min_eigenvalue(spa_pt_canonical(rho, q))
-            mu = pt_min_eigenvalue(rho, q)
+            lam = min_eigenvalue(spa_pt(rho, q, CANONICAL_WEIGHT))
+            mu = min_eigenvalue(partial_transpose(rho, q))
             assert abs(lam - (0.1 + 0.2 * mu)) <= 1e-12
-            npt_cuts += not is_ppt_cut(rho, q)
+            npt_cuts += mu < -1e-10
         assert (classify(rho).kind == GENUINE) == (npt_cuts == 3)
     _passed("criterion 5: affine law at 1e-12 and genuine<->all-NPT on 200 random states")
 
@@ -128,35 +127,35 @@ def test_criterion_5_affine_and_threshold_equivalence():
 def test_criterion_6_ghz_family_value():
     for alpha in np.linspace(0.0, 1.0, 21):
         beta = np.sqrt(1.0 - alpha * alpha)
-        s = spectral_summary(to_density(catalog("ghz", alpha, beta)))
-        assert abs(s.lam_max - (1.0 - 2.0 * alpha * beta) / 10.0) <= 1e-12
+        s = channel_minima(to_density(catalog("ghz", alpha, beta)))
+        assert abs(max(s.values()) - (1.0 - 2.0 * alpha * beta) / 10.0) <= 1e-12
     _passed("criterion 6: GHZ-family channel minimum (1-2ab)/10 at 1e-12 over 21 points")
 
 
 def test_criterion_7_five_term_state():
     rho = to_density(catalog("g2"))
-    s = spectral_summary(rho)
-    assert s.lam_a == pytest.approx(0.030718, abs=1e-5)
-    assert s.lam_b == pytest.approx(0.0434315, abs=1e-5)
-    assert s.lam_c == pytest.approx(0.0434315, abs=1e-5)
+    s = channel_minima(rho)
+    assert s["A"] == pytest.approx(0.030718, abs=1e-5)
+    assert s["B"] == pytest.approx(0.0434315, abs=1e-5)
+    assert s["C"] == pytest.approx(0.0434315, abs=1e-5)
     assert classify(rho).kind == GENUINE
     _passed("criterion 7: five-term state minima at 1e-5 and genuine verdict")
 
 
 def test_criterion_8_reference_tables():
     for (params, ref_a, ref_bc, ref_max) in TABLE1_ROWS:
-        s = spectral_summary(to_density(catalog("g3", *params)))
-        assert abs(s.lam_a - ref_a) <= 1e-3
-        assert abs(s.lam_b - ref_bc) <= 1e-3
-        assert abs(s.lam_c - ref_bc) <= 1e-3
-        assert abs(s.lam_max - ref_max) <= 1e-3
+        s = channel_minima(to_density(catalog("g3", *params)))
+        assert abs(s["A"] - ref_a) <= 1e-3
+        assert abs(s["B"] - ref_bc) <= 1e-3
+        assert abs(s["C"] - ref_bc) <= 1e-3
+        assert abs(max(s.values()) - ref_max) <= 1e-3
     for (params, ref_ab, ref_c, ref_max) in TABLE2_ROWS:
         rho = to_density(catalog("b2", *params))
-        s = spectral_summary(rho)
-        assert abs(s.lam_a - ref_ab) <= 1e-3
-        assert abs(s.lam_b - ref_ab) <= 1e-3
-        assert abs(s.lam_c - ref_c) <= 1e-3
-        assert abs(s.lam_max - ref_max) <= 1e-3
+        s = channel_minima(rho)
+        assert abs(s["A"] - ref_ab) <= 1e-3
+        assert abs(s["B"] - ref_ab) <= 1e-3
+        assert abs(s["C"] - ref_c) <= 1e-3
+        assert abs(max(s.values()) - ref_max) <= 1e-3
         v = classify(rho)
         assert v.kind == BISEPARABLE and v.cuts == ("C-AB",)
     _passed("criterion 8: both reference tables within 1e-3, second table all C-AB")
@@ -165,44 +164,44 @@ def test_criterion_8_reference_tables():
 def test_criterion_9_closed_form_families():
     # Kye family
     for a in np.arange(2.0, 10.5, 0.5):
-        s = spectral_summary(to_density(catalog("kye", a)))
+        s = channel_minima(to_density(catalog("kye", a)))
         expected = (2 + 5 * a) / (40 * (1 + a))
-        for lam in (s.lam_a, s.lam_b, s.lam_c):
+        for lam in s.values():
             assert abs(lam - expected) <= 1e-9
         if a >= 4.0:
             assert classify(to_density(catalog("kye", a))).kind == FULLY_SEPARABLE
     # depolarized GHZ: value derivable from the family definition is alpha/8
     for alpha in np.linspace(0.0, 1.0, 11):
-        s = spectral_summary(to_density(catalog("s2", alpha)))
-        for lam in (s.lam_a, s.lam_b, s.lam_c):
+        s = channel_minima(to_density(catalog("s2", alpha)))
+        for lam in s.values():
             assert abs(lam - alpha / 8.0) <= 1e-9
     for alpha in (0.81, 0.9, 1.0):
         assert classify(to_density(catalog("s2", alpha))).kind == FULLY_SEPARABLE
     # boundary mixture: exactly 1/10 on every cut
     for q in np.linspace(0.0, 1.0, 11):
-        s = spectral_summary(to_density(catalog("s3", q)))
-        for lam in (s.lam_a, s.lam_b, s.lam_c):
+        s = channel_minima(to_density(catalog("s3", q)))
+        for lam in s.values():
             assert abs(lam - 0.1) <= 1e-9
         assert classify(to_density(catalog("s3", q))).kind == FULLY_SEPARABLE
     # Bell-flagged mixture
     for q in np.linspace(0.1, 0.9, 9):
         rho = to_density(catalog("b1", q))
-        s = spectral_summary(rho)
-        assert abs(s.lam_a - 0.1) <= 1e-9
-        assert abs(s.lam_b - min(q, 1 - q) / 10.0) <= 1e-9
-        assert abs(s.lam_c - min(q, 1 - q) / 10.0) <= 1e-9
+        s = channel_minima(rho)
+        assert abs(s["A"] - 0.1) <= 1e-9
+        assert abs(s["B"] - min(q, 1 - q) / 10.0) <= 1e-9
+        assert abs(s["C"] - min(q, 1 - q) / 10.0) <= 1e-9
         v = classify(rho)
         assert v.kind == BISEPARABLE and v.cuts == ("A-BC",)
     # GHZ-projector admixture
     for q in np.linspace(0.0, 1.0, 11):
-        s = spectral_summary(to_density(catalog("rho1", q)))
-        for lam in (s.lam_a, s.lam_b, s.lam_c):
+        s = channel_minima(to_density(catalog("rho1", q)))
+        for lam in s.values():
             assert abs(lam - q / 10.0) <= 1e-9
     # GHZ-W mixture
     for q in np.linspace(0.0, 1.0, 21):
-        s = spectral_summary(to_density(catalog("ghz-w", q)))
+        s = channel_minima(to_density(catalog("ghz-w", q)))
         expected = _ghz_w_reference(q)
-        for lam in (s.lam_a, s.lam_b, s.lam_c):
+        for lam in s.values():
             assert abs(lam - expected) <= 1e-9
     # three-state mixture, on the subregion where the closed-form branch is
     # the actual minimum (see notes: the branch crosses another one below
@@ -210,9 +209,9 @@ def test_criterion_9_closed_form_families():
     for q1 in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
         for n in (1, 2, 3, 4, 5):
             q2 = (1.0 - q1) / n
-            s = spectral_summary(to_density(catalog("rho2", q1, q2)))
+            s = channel_minima(to_density(catalog("rho2", q1, q2)))
             expected = _rho2_reference(q1, q2)
-            for lam in (s.lam_a, s.lam_b, s.lam_c):
+            for lam in s.values():
                 assert abs(lam - expected) <= 1e-9
     _passed("criterion 9: closed-form families within 1e-9 over their grids")
 
@@ -226,8 +225,8 @@ def test_criterion_9_closed_form_families():
 def test_criterion_9_s2_reported_closed_form():
     print("[KNOWN-FAIL] criterion 9 (s2 reported value): (alpha+4)/40 vs computed alpha/8")
     for alpha in np.linspace(0.0, 1.0, 11):
-        s = spectral_summary(to_density(catalog("s2", alpha)))
-        assert abs(s.lam_max - (alpha + 4.0) / 40.0) <= 1e-9
+        s = channel_minima(to_density(catalog("s2", alpha)))
+        assert abs(max(s.values()) - (alpha + 4.0) / 40.0) <= 1e-9
 
 
 def test_criterion_10_tangle():

@@ -1,4 +1,6 @@
-"""The decision engine: summaries, verdicts, and their symmetries."""
+"""The decision engine: channel minima, verdicts, and their symmetries."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -9,18 +11,16 @@ from spapt import (
     BISEPARABLE,
     FULLY_SEPARABLE,
     GENUINE,
-    SpectralSummary,
     Verdict,
     catalog,
     channel_minima,
     classify,
-    classify_summary,
     cut_passes_threshold,
     decide_minima,
     density_from_pure,
-    is_ppt_cut,
     ket,
-    spectral_summary,
+    min_eigenvalue,
+    partial_transpose,
     to_density,
 )
 from spapt.errors import NumericalFailure, ParamOutOfRange
@@ -34,40 +34,51 @@ from support import (
 )
 
 INV2 = 1.0 / np.sqrt(2.0)
+CLASSIFY_MODULE = importlib.import_module("spapt.classify")
 
 
 class TestSpectralSummary:
+    """The three canonical channel minima, as ``channel_minima`` returns them."""
+
     def test_g2(self):
-        s = spectral_summary(to_density(catalog("g2")))
-        assert s.lam_a == pytest.approx(0.030718, abs=1e-5)
-        assert s.lam_b == pytest.approx(0.0434315, abs=1e-5)
-        assert s.lam_c == pytest.approx(0.0434315, abs=1e-5)
-        assert s.lam_max == max(s.lam_a, s.lam_b, s.lam_c)
+        s = channel_minima(to_density(catalog("g2")))
+        assert s["A"] == pytest.approx(0.030718, abs=1e-5)
+        assert s["B"] == pytest.approx(0.0434315, abs=1e-5)
+        assert s["C"] == pytest.approx(0.0434315, abs=1e-5)
 
     def test_maximally_mixed(self):
-        s = spectral_summary(np.eye(8, dtype=complex) / 8.0)
-        for lam in (s.lam_a, s.lam_b, s.lam_c, s.lam_max):
+        s = channel_minima(np.eye(8, dtype=complex) / 8.0)
+        for lam in s.values():
             assert lam == pytest.approx(1 / 8, abs=1e-12)
 
     def test_ghz_projector_admixtures(self):
         for q in (0.0, 0.3, 0.7, 1.0):
-            s = spectral_summary(to_density(catalog("rho1", q)))
-            for lam in (s.lam_a, s.lam_b, s.lam_c):
+            s = channel_minima(to_density(catalog("rho1", q)))
+            for lam in s.values():
                 assert lam == pytest.approx(q / 10.0, abs=1e-12)
 
     def test_channel_minima_per_cut_and_weight(self):
         rho = to_density(catalog("ghz", INV2, INV2))
-        assert channel_minima(rho) == spectral_summary(rho).per_cut()
+        assert list(channel_minima(rho)) == ["A", "B", "C"]
         # affine law at p = 0.9 on one cut: 0.9/8 + 0.1 * (-1/2)
         only_b = channel_minima(rho, 0.9, ("B",))
         assert list(only_b) == ["B"]
         assert only_b["B"] == pytest.approx(0.9 / 8 - 0.05, abs=1e-12)
 
-    def test_bounds_enforced(self):
-        with pytest.raises(NumericalFailure):
-            SpectralSummary(0.5, 0.1, 0.1)
-        with pytest.raises(NumericalFailure):
-            SpectralSummary(-0.2, 0.1, 0.1)
+    def test_bounds_enforced(self, monkeypatch):
+        # a density matrix's minima lie in [p/8 - (1-p)/2, p/8 + (1-p)];
+        # within 1e-10 of either end is accepted, beyond it is a failure
+        mm = np.eye(8, dtype=complex) / 8.0
+        for p, lo, hi in ((0.8, 0.0, 0.3), (0.9, 0.0625, 0.2125)):
+            for lam, ok in ((lo - 5e-11, True), (hi + 5e-11, True),
+                            (lo - 1e-9, False), (hi + 1e-9, False)):
+                monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: lam)
+                if ok:
+                    assert channel_minima(mm, p)["A"] == lam
+                else:
+                    bounds = f"outside \\[{lo}, {hi}\\]"
+                    with pytest.raises(NumericalFailure, match=f"cut A, .* {bounds}"):
+                        channel_minima(mm, p)
 
 
 class TestClassify:
@@ -172,8 +183,8 @@ class TestDecisionTable:
             assert v.margin >= 0.0
 
     def test_summary_wrapper_agrees(self):
-        s = SpectralSummary(0.12, 0.05, 0.06)
-        assert classify_summary(s) == decide_minima(s.per_cut())
+        rho = to_density(catalog("b1", 0.3))
+        assert classify(rho) == decide_minima(channel_minima(rho))
 
 
 class TestCutCheck:
@@ -215,7 +226,7 @@ class TestSymmetries:
         rng = np.random.default_rng(52)
         for _ in range(50):
             rho = random_state_mixed_or_pure(rng)
-            all_npt = not any(is_ppt_cut(rho, q) for q in "ABC")
+            all_npt = all(min_eigenvalue(partial_transpose(rho, q)) < -1e-10 for q in "ABC")
             assert (classify(rho).kind == GENUINE) == all_npt
 
     def test_product_states_fully_separable(self):

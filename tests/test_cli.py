@@ -1,20 +1,18 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import importlib
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import spapt
-from spapt import classify, parse_state_file, to_density
-from spapt.cli import main
+from spapt import Verdict, catalog, classify, parse_state_file, to_density
+from spapt.cli import build_report, main
+from spapt.states import MAX_MIX_DEPTH
 
 INV2 = 1.0 / np.sqrt(2.0)
+CLASSIFY_MODULE = importlib.import_module("spapt.classify")
 
 
 def run_cli(argv, capsys):
@@ -140,6 +138,14 @@ class TestClassifyCommand:
         code, _, err = run_cli(["classify", "/nonexistent/state.json"], capsys)
         assert code == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(["classify", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: $: cannot read {path}: ")
+
     def test_rounded_catalog_parameters_accepted(self, tmp_path, capsys):
         path = write_state(tmp_path, {"catalog": {"name": "ghz", "params": [0.7071, 0.7071]}})
         code, out, _ = run_cli(["classify", path], capsys)
@@ -195,17 +201,31 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("error: $:")
 
-    def test_moderately_nested_document_classifies(self, tmp_path):
-        # a fresh process: pytest's own frames would use up the recursion
-        # budget that a command-line run has for parsing
+    def test_mix_nested_to_the_limit_classifies(self, tmp_path, capsys):
         path = tmp_path / "nested.json"
-        path.write_text(nested_mix(240), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(Path(spapt.__file__).parents[1]))
-        run = subprocess.run([sys.executable, "-m", "spapt.cli", "classify", str(path)],
-                             capture_output=True, text=True, env=env)
-        assert run.returncode == 0, run.stderr
-        # the report echoes the input, too deep to decode under pytest's frames
-        assert '"kind": "genuine-entangled"' in run.stdout
+        path.write_text(nested_mix(MAX_MIX_DEPTH), encoding="utf-8")
+        code, out, err = run_cli(["classify", str(path)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["verdict"]["kind"] == "genuine-entangled"
+
+    def test_mix_nested_past_the_limit_exits_2(self, tmp_path, capsys):
+        # a fixed limit, so the answer does not depend on the caller's stack
+        path = tmp_path / "nested.json"
+        path.write_text(nested_mix(MAX_MIX_DEPTH + 1), encoding="utf-8")
+        code, out, err = run_cli(["classify", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        where = "$" + ".mix.parts[0].state" * MAX_MIX_DEPTH + ".mix"
+        assert err == f"error: {where}: mix nested more than {MAX_MIX_DEPTH} levels deep\n"
+
+    def test_channel_minimum_out_of_range_exits_1(self, tmp_path, capsys, monkeypatch):
+        # no density matrix gives a canonical minimum above 0.3
+        monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: 0.5)
+        path = write_state(tmp_path, {"catalog": {"name": "kye", "params": [4]}})
+        code, out, err = run_cli(["classify", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: channel minimum of cut A, 0.5, outside")
 
 
 def nested_mix(depth: int) -> str:
@@ -345,6 +365,13 @@ class TestScanCommand:
         assert out == ""
         assert err.startswith("numerical failure: synthetic")
 
+    def test_channel_minimum_out_of_range_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: 0.5)
+        code, out, err = run_cli(["scan", "ghz-w", "--grid", "q=0.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure: channel minimum of cut A, 0.5, outside")
+
     def test_deterministic_row_order(self, capsys):
         _, first, _ = run_cli(
             ["scan", "rho2", "--grid", "q1=0.5:0.7:2", "--grid", "q2=0.1:0.2:2"], capsys
@@ -355,6 +382,27 @@ class TestScanCommand:
         assert first == second
         body = first.strip().split("\n")[1:]
         assert [row.split(",")[0] for row in body] == ["0.5", "0.5", "0.7", "0.7"]
+
+
+@pytest.mark.parametrize("family, grid, label", [
+    ("ghz", ["alpha=1", "beta=0"], "fully-separable"),
+    ("w", ["l0=0", "l1=1", "l2=0"], "fully-separable"),
+    ("g3", ["l0=0", "l1=1", "l2=0"], "fully-separable"),
+    ("b2", ["l0=0.6", "l1=0.1", "l2=0.7937"], "biseparable:C-AB"),
+    ("s3", ["q=0.5"], "fully-separable"),
+], ids=["ghz-000", "w-010", "g3-100", "b2-cut-c", "s3"])
+def test_threshold_exact_states_get_one_label_on_every_path(capsys, family, grid, label):
+    # some cut of each state sits exactly on 1/10, where a path that
+    # computed the minimum differently could flip the verdict
+    params = [float(g.split("=")[1]) for g in grid]
+    spec = catalog(family, *params)
+    report = build_report(spec)["verdict"]
+    from_report = Verdict(report["kind"], tuple(report["cuts"]), report["margin"]).label
+    args = ["scan", family] + [x for g in grid for x in ("--grid", g)]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    from_scan = out.strip().split("\n")[1].split(",")[-1]
+    assert classify(to_density(spec)).label == from_report == from_scan == label
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

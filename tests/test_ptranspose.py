@@ -7,10 +7,9 @@ from spapt import (
     catalog,
     density_from_pure,
     hermitian_eigenvalues,
-    is_ppt_cut,
     ket,
+    min_eigenvalue,
     partial_transpose,
-    pt_min_eigenvalue,
     to_density,
 )
 from support import pt_block_form, random_density, w_param_grid
@@ -49,31 +48,34 @@ def test_w_cut_b_spectrum_closed_form():
 
 class TestMinEigenvalue:
     def test_balanced_ghz(self):
-        assert pt_min_eigenvalue(ghz_density(INV2, INV2), "A") == pytest.approx(-0.5, abs=1e-12)
+        rho = ghz_density(INV2, INV2)
+        assert min_eigenvalue(partial_transpose(rho, "A")) == pytest.approx(-0.5, abs=1e-12)
 
     def test_w_at_reported_extremal_parameter(self):
         # the recorded fixture value at |l2| = 0.7
         l2 = 0.7
         l0 = l1 = np.sqrt((1 - l2 ** 2) / 2)
-        assert pt_min_eigenvalue(w_density(l0, l1, l2), "A") == pytest.approx(-0.4999, abs=1e-4)
+        rho = w_density(l0, l1, l2)
+        assert min_eigenvalue(partial_transpose(rho, "A")) == pytest.approx(-0.4999, abs=1e-4)
 
     def test_product_projector(self):
         rho = density_from_pure(ket("000"))
         for q in "ABC":
-            assert pt_min_eigenvalue(rho, q) == pytest.approx(0.0, abs=1e-12)
+            assert min_eigenvalue(partial_transpose(rho, q)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPptPredicate:
     def test_bell_flagged_mixture_is_ppt_on_cut_a(self):
-        assert is_ppt_cut(to_density(catalog("b1", 0.5)), "A")
+        rho = to_density(catalog("b1", 0.5))
+        assert min_eigenvalue(partial_transpose(rho, "A")) >= -1e-10
 
     def test_balanced_ghz_is_npt_everywhere(self):
         rho = ghz_density(INV2, INV2)
-        assert not any(is_ppt_cut(rho, q) for q in "ABC")
+        assert all(min_eigenvalue(partial_transpose(rho, q)) < -1e-10 for q in "ABC")
 
     def test_maximally_mixed_is_ppt(self):
         mm = np.eye(8, dtype=complex) / 8.0
-        assert all(is_ppt_cut(mm, q) for q in "ABC")
+        assert all(min_eigenvalue(partial_transpose(mm, q)) >= -1e-10 for q in "ABC")
 
 
 class TestStructuralProperties:
@@ -117,7 +119,7 @@ class TestCutSymmetry:
         for _ in range(10):
             theta = rng.uniform(0, 2 * np.pi)
             rho = ghz_density(np.cos(theta), np.sin(theta))
-            vals = [pt_min_eigenvalue(rho, q) for q in "ABC"]
+            vals = [min_eigenvalue(partial_transpose(rho, q)) for q in "ABC"]
             assert max(vals) - min(vals) <= 1e-12
 
     def test_w_extremal_minimum_identical_across_cuts(self):
@@ -126,7 +128,8 @@ class TestCutSymmetry:
         # cut-independent.
         grid = w_param_grid()
         per_cut = {
-            q: min(pt_min_eigenvalue(w_density(*p), q) for p in grid) for q in "ABC"
+            q: min(min_eigenvalue(partial_transpose(w_density(*p), q)) for p in grid)
+            for q in "ABC"
         }
         vals = list(per_cut.values())
         assert max(vals) - min(vals) <= 1e-12
@@ -135,7 +138,7 @@ class TestCutSymmetry:
     def test_symmetric_w_point_identical_across_cuts(self):
         s = 1.0 / np.sqrt(3.0)
         rho = w_density(s, s, s)
-        vals = [pt_min_eigenvalue(rho, q) for q in "ABC"]
+        vals = [min_eigenvalue(partial_transpose(rho, q)) for q in "ABC"]
         assert max(vals) - min(vals) <= 1e-12
 
 

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spapt import (
+    CANONICAL_WEIGHT,
     catalog,
     choi_matrix,
     density_from_pure,
     hermitian_eigenvalues,
-    is_ppt_cut,
-    is_psd,
     ket,
     min_choi_psd_parameter,
     min_cp_parameter,
@@ -20,7 +19,6 @@ from spapt import (
     spa_bipartite_threshold,
     spa_element_map,
     spa_pt,
-    spa_pt_canonical,
     to_density,
 )
 from spapt.errors import ParamOutOfRange
@@ -70,13 +68,13 @@ class TestChannel:
         assert min_eigenvalue(spa_pt(rho, "A", 0.8)) == pytest.approx(0.0, abs=1e-12)
 
     def test_canonical_fixes_maximally_mixed(self):
-        got = spa_pt_canonical(MM, "B")
+        got = spa_pt(MM, "B", CANONICAL_WEIGHT)
         np.testing.assert_allclose(got, MM, atol=1e-15)
 
     def test_g2_minima(self):
         rho = to_density(catalog("g2"))
-        lam_a = min_eigenvalue(spa_pt_canonical(rho, "A"))
-        lam_b = min_eigenvalue(spa_pt_canonical(rho, "B"))
+        lam_a = min_eigenvalue(spa_pt(rho, "A", CANONICAL_WEIGHT))
+        lam_b = min_eigenvalue(spa_pt(rho, "B", CANONICAL_WEIGHT))
         assert lam_a == pytest.approx(0.030718, abs=1e-5)
         assert lam_b == pytest.approx(0.0434315, abs=1e-5)
         # exact closed forms behind the printed digits
@@ -88,7 +86,7 @@ class TestChannel:
             rho = to_density(catalog("kye", a))
             expected = (2 + 5 * a) / (40 * (1 + a))
             for q in "ABC":
-                assert min_eigenvalue(spa_pt_canonical(rho, q)) == pytest.approx(
+                assert min_eigenvalue(spa_pt(rho, q, CANONICAL_WEIGHT)) == pytest.approx(
                     expected, abs=1e-12
                 )
 
@@ -119,10 +117,11 @@ class TestChannel:
         for _ in range(100):
             rho = random_state_mixed_or_pure(rng)
             for q in "ABC":
-                out = spa_pt_canonical(rho, q)
+                out = spa_pt(rho, q, CANONICAL_WEIGHT)
                 lam = min_eigenvalue(out)
                 assert lam >= -1e-10  # canonical outputs stay PSD
-                assert (lam >= 0.1 - 1e-10) == is_ppt_cut(rho, q)
+                mu = min_eigenvalue(partial_transpose(rho, q))
+                assert (lam >= 0.1 - 1e-10) == (mu >= -1e-10)
 
 
 class TestElementMap:
@@ -135,14 +134,14 @@ class TestElementMap:
         out = spa_element_map(rho)
         # row 4, column 5 (1-based) receives the conjugate of entry (1, 8)
         assert out[3, 4] == pytest.approx(np.conj(rho[0, 7]) / 5.0)
-        np.testing.assert_allclose(out, spa_pt_canonical(rho, "A"), atol=1e-15)
+        np.testing.assert_allclose(out, spa_pt(rho, "A", CANONICAL_WEIGHT), atol=1e-15)
 
     def test_matches_canonical_channel_entrywise(self):
         rng = np.random.default_rng(46)
         for _ in range(30):
             rho = random_density(rng)
             np.testing.assert_allclose(
-                spa_element_map(rho), spa_pt_canonical(rho, "A"), atol=1e-15
+                spa_element_map(rho), spa_pt(rho, "A", CANONICAL_WEIGHT), atol=1e-15
             )
 
 
@@ -215,7 +214,7 @@ class TestThresholds:
         p_star = min_choi_psd_parameter(q)
         assert p_star == pytest.approx(32 / 33, abs=1e-12)
         assert min_eigenvalue(choi_matrix(q, p_star)) >= -1e-12
-        assert not is_psd(choi_matrix(q, p_star - 1e-6))
+        assert min_eigenvalue(choi_matrix(q, p_star - 1e-6)) < -1e-10
 
     def test_weights_validate_tol(self):
         for tol in (0.0, -1e-6, float("nan")):
@@ -240,7 +239,7 @@ def test_pure_input_worst_case_saturates_bound():
     # no pure state drives the canonical output below zero
     rng = np.random.default_rng(47)
     worst = min(
-        min_eigenvalue(spa_pt_canonical(np.outer(p, p.conj()), q))
+        min_eigenvalue(spa_pt(np.outer(p, p.conj()), q, CANONICAL_WEIGHT))
         for p in (random_pure(rng) for _ in range(25))
         for q in "ABC"
     )

@@ -1,9 +1,14 @@
 """State construction, the catalog, and the JSON schema."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spapt import (
+    StateSpec,
     as_density_matrix,
     catalog,
     convex_mix,
@@ -12,9 +17,9 @@ from spapt import (
     parse_state_file,
     pure_amplitudes,
     pure_state,
-    render_state_spec,
     to_density,
 )
+from spapt.states import spec_from_obj, spec_to_obj
 from spapt import errors
 from spapt.errors import (
     BadWeights,
@@ -25,6 +30,7 @@ from spapt.errors import (
     SchemaError,
     UnknownName,
 )
+from support import random_density, random_pure
 
 INV2 = 1.0 / np.sqrt(2.0)
 
@@ -287,9 +293,51 @@ class TestJsonSchema:
     ])
     def test_round_trip_reproduces_density(self, doc):
         spec = parse_state_file(doc)
-        again = parse_state_file(render_state_spec(spec))
+        again = parse_state_file(json.dumps(spec_to_obj(spec)))
         np.testing.assert_allclose(to_density(spec), to_density(again), atol=1e-12)
 
     def test_pure_norm_strict_at_parse_time(self):
         with pytest.raises(NotNormalized):
             parse_state_file('{"pure": {"amplitudes": [0.3,0.4,0.866,0,0,0,0,0]}}')
+
+
+UNIT = st.floats(0.0, 1.0)
+CATALOG_SPECS = st.one_of(
+    st.builds(lambda t: catalog("ghz", np.cos(t), np.sin(t)), st.floats(0.0, 2 * np.pi)),
+    st.builds(lambda q: catalog("ghz-w", q), UNIT),
+    st.builds(lambda a: catalog("kye", a), st.floats(2.0, 10.0)),  # PSD from a = 2
+    st.builds(lambda a: catalog("s2", a), UNIT),
+    st.builds(lambda q1, f: catalog("rho2", q1, f * (1.0 - q1)), UNIT, UNIT),
+    st.just(catalog("g2")),
+)
+rngs = st.builds(np.random.default_rng, st.integers(0, 2**32 - 1))
+LEAF_SPECS = st.one_of(
+    st.builds(lambda rng: StateSpec(kind="pure", amplitudes=tuple(
+        complex(a) for a in random_pure(rng))), rngs),
+    st.builds(lambda rng: StateSpec(kind="matrix", matrix=tuple(
+        tuple(row) for row in random_density(rng))), rngs),
+    CATALOG_SPECS,
+)
+
+
+def mixes_of(parts):
+    """Mixtures of one to three ``parts`` with positive weights summing to one."""
+    def mix(specs, raw):
+        w = np.array(raw[:len(specs)])
+        return StateSpec(kind="mix", parts=tuple(
+            (float(x), s) for x, s in zip(w / w.sum(), specs)))
+    return st.builds(mix, st.lists(parts, min_size=1, max_size=3),
+                     st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
+
+
+# leaves, and mixtures nested up to two levels deep
+SPECS = st.one_of(LEAF_SPECS, mixes_of(st.one_of(LEAF_SPECS, mixes_of(LEAF_SPECS))))
+
+
+class TestSpecRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(SPECS)
+    def test_json_round_trip_is_exact(self, spec):
+        again = spec_from_obj(json.loads(json.dumps(spec_to_obj(spec))))
+        assert again == spec
+        np.testing.assert_array_equal(to_density(again), to_density(spec))
