@@ -16,7 +16,6 @@ from .classify import (
     Verdict,
     channel_minima,
     classify,
-    cut_passes_threshold,
     decide_minima,
 )
 from .linalg import dagger, hermitian_eigenvalues, min_eigenvalue
@@ -27,8 +26,6 @@ from .spa import (
     choi_matrix,
     min_choi_psd_parameter,
     min_cp_parameter,
-    spa_bipartite_threshold,
-    spa_element_map,
     spa_pt,
 )
 from .states import (
@@ -67,7 +64,6 @@ __all__ = [
     "choi_matrix",
     "classify",
     "convex_mix",
-    "cut_passes_threshold",
     "dagger",
     "decide_minima",
     "density_from_pure",
@@ -81,8 +77,6 @@ __all__ = [
     "pure_amplitudes",
     "pure_state",
     "pure_subclass",
-    "spa_bipartite_threshold",
-    "spa_element_map",
     "spa_pt",
     "three_tangle_pure",
     "to_density",

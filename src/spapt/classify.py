@@ -88,14 +88,23 @@ def channel_minima(rho, p: float = CANONICAL_WEIGHT, cuts=QUBITS) -> dict[str, f
     return minima
 
 
+def cut_passes(lam: float, eps: float, threshold: float = THRESHOLD) -> bool:
+    """True when the channel minimum ``lam`` of a cut reaches ``threshold`` within ``eps``.
+
+    Passing is only consistent with separability across the cut; failing
+    certifies entanglement across it.
+    """
+    check_eps(eps)
+    return lam >= threshold - eps
+
+
 def decide_minima(
     per_cut, eps: float = DEFAULT_EPS, threshold: float = THRESHOLD
 ) -> Verdict:
     """Apply the decision table to a mapping of cut label -> channel minimum."""
-    check_eps(eps)
+    passing = [q for q in QUBITS if cut_passes(per_cut[q], eps, threshold)]
     if not all(math.isfinite(per_cut[q]) for q in QUBITS):
         raise NumericalFailure(f"channel minima {per_cut!r} are not all finite")
-    passing = [q for q in QUBITS if per_cut[q] >= threshold - eps]
     if not passing:
         return Verdict(GENUINE, (), threshold - max(per_cut.values()))
     kind = FULLY_SEPARABLE if len(passing) == 3 else BISEPARABLE
@@ -106,13 +115,3 @@ def decide_minima(
 def classify(rho, eps: float = DEFAULT_EPS) -> Verdict:
     """Classify a three-qubit density matrix per the decision table."""
     return decide_minima(channel_minima(rho), eps)
-
-
-def cut_passes_threshold(rho, q: str, eps: float = DEFAULT_EPS) -> bool:
-    """Necessary condition for separability across cut ``q``.
-
-    True when the canonical channel minimum for ``q`` reaches 1/10 (within
-    ``eps``); False certifies entanglement across that cut.
-    """
-    check_eps(eps)
-    return channel_minima(rho, cuts=(q,))[q] >= THRESHOLD - eps

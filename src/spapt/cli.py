@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .classify import DEFAULT_EPS, channel_minima, check_eps, decide_minima
+from .classify import DEFAULT_EPS, channel_minima, check_eps, cut_passes, decide_minima
 from .errors import InputError, NumericalFailure, ParamOutOfRange, SchemaError
 from .linalg import hermitian_eigenvalues
 from .ptranspose import QUBITS, partial_transpose
@@ -83,7 +83,7 @@ def build_report(spec, p: float = CANONICAL_WEIGHT, eps: float = DEFAULT_EPS,
         "timing": None,
     }
     if qubit:
-        report["cut_check"] = bool(minima[qubit] >= threshold - eps)
+        report["cut_check"] = cut_passes(minima[qubit], eps, threshold)
     else:
         report["spa_min"]["max"] = max(minima.values())
         verdict = decide_minima(minima, eps, threshold)

@@ -39,16 +39,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
-def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if not defect <= tol:
-        raise NotHermitian(defect, tol)
-    return (m + dagger(m)) / 2.0
-
-
 def _offdiag_norm(a: np.ndarray) -> float:
     s = a - np.diag(np.diagonal(a))
     return float(np.sqrt(np.sum(np.abs(s) ** 2)))
@@ -96,20 +86,26 @@ def _jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     return np.sort(np.diagonal(a).real.copy())
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
-    ``tol`` bounds the accepted hermiticity defect; the input is symmetrized
-    before the solve so the defect never biases the spectrum. The returned
-    spectrum is verified against the first two trace moments (scaled by the
-    second moment for large-norm inputs); a violation means the sweeps did
-    not converge and raises :class:`NumericalFailure`.
+    ``HERMITICITY_TOL`` bounds the hermiticity defect and the trace-moment
+    residuals; the input is symmetrized before the solve so the defect never
+    biases the spectrum. The spectrum is verified against the first two trace
+    moments (scaled by the second moment for large-norm inputs); a violation
+    means the sweeps did not converge and raises :class:`NumericalFailure`.
     """
-    h = _check_hermitian(m, tol)
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonSquare(f"expected a square matrix, got shape {m.shape}")
+    defect = hermiticity_defect(m)
+    if not defect <= HERMITICITY_TOL:
+        raise NotHermitian(defect, HERMITICITY_TOL)
+    h = (m + dagger(m)) / 2.0
     w = _jacobi_eigvalsh(h)
     tr = float(np.trace(h).real)
     tr2 = float(np.trace(h @ h).real)
-    bound = tol * max(1.0, abs(tr2))
+    bound = HERMITICITY_TOL * max(1.0, abs(tr2))
     if abs(tr - w.sum()) > bound or abs(tr2 - (w ** 2).sum()) > bound:
         raise NumericalFailure(
             f"eigenvalue sweeps left trace residuals above {bound:.3e}"
@@ -117,6 +113,6 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     return w
 
 
-def min_eigenvalue(m: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
+def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eigenvalues(m, tol)[0])
+    return float(hermitian_eigenvalues(m)[0])

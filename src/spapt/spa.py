@@ -39,10 +39,10 @@ import numpy as np
 from .linalg import min_eigenvalue
 from .errors import ParamOutOfRange
 from .ptranspose import partial_transpose, qubit_index, transpose_bits
+from .states import PSD_TOL
 
 CANONICAL_WEIGHT = 4.0 / 5.0
 THRESHOLD = CANONICAL_WEIGHT / 8.0  # 1/10
-PSD_TOL = 1e-10
 
 
 def _check_weight(p: float) -> float:
@@ -56,34 +56,6 @@ def spa_pt(rho: np.ndarray, q: str, p: float) -> np.ndarray:
     """Channel output ``(p/8) I + (1-p) PT_q(rho)``."""
     p = _check_weight(p)
     return (p / 8.0) * np.eye(8, dtype=np.complex128) + (1.0 - p) * partial_transpose(rho, q)
-
-
-def spa_element_map(rho: np.ndarray) -> np.ndarray:
-    """Canonical qubit-A output assembled entry by entry.
-
-    Writes each upper-triangle entry of the output directly from the input
-    entries (diagonal gets 1/10 + t/5, the a=0/a'=1 corner pulls conjugated
-    entries from the mirrored positions, everything else is t/5), then fills
-    the lower triangle by Hermiticity. Must agree entrywise with
-    ``spa_pt(rho, 'A', CANONICAL_WEIGHT)``; the two routes cross-check the
-    transposition indexing.
-    """
-    t = np.asarray(rho, dtype=np.complex128)
-    if t.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got {t.shape}")
-    out = np.zeros((8, 8), dtype=np.complex128)
-    for i in range(8):
-        out[i, i] = 1.0 / 10.0 + t[i, i] / 5.0
-    for i in range(8):
-        for j in range(i + 1, 8):
-            if i < 4 and j >= 4:
-                out[i, j] = np.conj(t[j - 4, i + 4]) / 5.0
-            else:
-                out[i, j] = t[i, j] / 5.0
-    for i in range(8):
-        for j in range(i):
-            out[i, j] = np.conj(out[j, i])
-    return out
 
 
 def choi_matrix(q: str, p: float) -> np.ndarray:
@@ -129,42 +101,23 @@ def _psd_weight(mu: float, dim: int) -> float:
     return -dim * mu / (1.0 - dim * mu)
 
 
-def min_cp_parameter(q: str, tol: float = 1e-6) -> float:
+def min_cp_parameter(q: str) -> float:
     """Smallest weight at which every input state yields a PSD output (4/5).
 
     The worst-case output eigenvalue at weight ``p`` is
     ``p/8 + (1-p) * mu`` with ``mu = worst_case_pt_min(q)`` by the affine
     spectrum law, which is zero at ``p = -8 mu / (1 - 8 mu)``. The closed
-    form is exact to solver precision; ``tol`` is only validated.
+    form is exact to solver precision.
     """
-    if not tol > 0.0:
-        raise ParamOutOfRange(f"tol={tol!r} must be positive")
     return _psd_weight(worst_case_pt_min(q), 8)
 
 
-def min_choi_psd_parameter(q: str, tol: float = 1e-6) -> float:
+def min_choi_psd_parameter(q: str) -> float:
     """Smallest weight at which the Choi operator itself is PSD (32/33).
 
     The Choi operator at weight ``p`` is ``p I/64 + (1-p) C0`` with
     ``C0 = choi_matrix(q, 0)``, so its minimum is ``p/64 + (1-p) * mu_c``
     for ``mu_c`` the minimum of ``C0`` (-1/2), which is zero at
-    ``p = -64 mu_c / (1 - 64 mu_c)``. ``tol`` is only validated.
+    ``p = -64 mu_c / (1 - 64 mu_c)``.
     """
-    if not tol > 0.0:
-        raise ParamOutOfRange(f"tol={tol!r} must be positive")
     return _psd_weight(min_eigenvalue(choi_matrix(q, 0.0)), 64)
-
-
-def spa_bipartite_threshold(d: int, lam: float) -> float:
-    """Detection threshold ``d^2 lam / (d^4 lam + 1)`` for a d x d system.
-
-    ``lam`` is the magnitude of the most negative eigenvalue produced by the
-    induced transposition map on the maximally entangled pair state.
-    """
-    d = int(d)
-    if d < 2:
-        raise ParamOutOfRange(f"local dimension d={d!r} must be >= 2")
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ParamOutOfRange(f"lam={lam!r} must be positive")
-    return d * d * lam / (d ** 4 * lam + 1.0)

@@ -60,7 +60,7 @@ def pure_state(amplitudes: Sequence[complex]) -> np.ndarray:
         raise NotNormalized(f"expected 8 amplitudes, got {psi.shape}")
     i = _first_nonfinite(psi)
     if i is not None:
-        raise NotNormalized(f"amplitude {i} is {psi[i]!r}, not finite")
+        raise NotNormalized(f"amplitude {i} is {complex(psi[i])}, not finite")
     norm2 = float(np.sum(np.abs(psi) ** 2))
     if abs(norm2 - 1.0) > NORM_TOL:
         raise NotNormalized(f"squared norm {norm2!r} differs from 1 beyond {NORM_TOL}")
@@ -84,7 +84,7 @@ def as_density_matrix(m: np.ndarray) -> np.ndarray:
         raise InvariantViolation("shape", f"expected 8x8, got {m.shape}")
     i = _first_nonfinite(m)
     if i is not None:
-        raise InvariantViolation("finite", f"entry {divmod(i, DIM)} is {m.flat[i]!r}")
+        raise InvariantViolation("finite", f"entry {divmod(i, DIM)} is {complex(m.flat[i])}")
     defect = hermiticity_defect(m)
     if defect > RAW_HERM_TOL:
         raise InvariantViolation("hermitian", f"defect {defect:.3e}")
@@ -98,21 +98,27 @@ def as_density_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def check_weights(weights: Iterable[float], where: str = "") -> list[float]:
+    """Mixture weights as floats, each finite and >= 0, summing to 1 within ``NORM_TOL``.
+
+    ``where``, the JSON path of a ``mix``, prefixes messages with the offending field.
+    """
+    weights = [float(w) for w in weights]
+    for i, w in enumerate(weights):
+        if not (math.isfinite(w) and w >= 0.0):
+            at = f"{where}.parts[{i}].weight: " if where else ""
+            why = "not finite" if not math.isfinite(w) else "negative"
+            raise BadWeights(f"{at}weight {i} = {w} is {why}")
+    if abs(sum(weights) - 1.0) > NORM_TOL:
+        raise BadWeights(f"{where + ': ' if where else ''}weights sum to {sum(weights)}, not 1")
+    return weights
+
+
 def convex_mix(parts: Iterable[tuple[float, np.ndarray]]) -> np.ndarray:
     """Probabilistic mixture of density matrices."""
     parts = list(parts)
-    if not parts:
-        raise BadWeights("empty mixture")
-    weights = np.array([float(w) for w, _ in parts])
-    i = _first_nonfinite(weights)
-    if i is not None:
-        raise BadWeights(f"weight {i} is {weights[i]!r}, not finite")
-    if np.any(weights < 0.0):
-        raise BadWeights(f"negative weight {weights.min()!r}")
-    if abs(weights.sum() - 1.0) > NORM_TOL:
-        raise BadWeights(f"weights sum to {weights.sum()!r}")
     out = np.zeros((DIM, DIM), dtype=np.complex128)
-    for w, rho in parts:
+    for w, (_, rho) in zip(check_weights(w for w, _ in parts), parts):
         out += w * np.asarray(rho, dtype=np.complex128)
     return as_density_matrix(out)
 
@@ -426,9 +432,7 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
                 raise SchemaError(f"{ppath}.weight", "expected a number")
             w = _finite(w, f"{ppath}.weight")
             out.append((w, spec_from_obj(part["state"], f"{ppath}.state", depth + 1)))
-        weights = np.array([w for w, _ in out])
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > NORM_TOL:
-            raise BadWeights(f"{path}.mix: weights sum to {weights.sum()!r}")
+        check_weights((w for w, _ in out), f"{path}.mix")
         return StateSpec(kind="mix", parts=tuple(out))
 
     body = obj["catalog"]

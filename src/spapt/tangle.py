@@ -23,11 +23,6 @@ GHZ_CLASS = "ghz-class"
 W_CLASS = "w-class"
 NOT_GENUINE = "not-genuine"
 
-# Boundary parameter for the GHZ/W/W-tilde mixture family below which the
-# mixed-state tangle is reported to vanish. External constant, not computed
-# here (the convex-roof extension is out of scope).
-RHO2_TANGLE_BOUNDARY = 0.6269
-
 
 def three_tangle_pure(psi) -> float:
     """Three-tangle of a normalized three-qubit pure state, in [0, 1]."""
@@ -49,14 +44,14 @@ def three_tangle_pure(psi) -> float:
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
-def pure_subclass(psi, eps: float = 1e-9, tau_tol: float = TAU_TOL) -> str:
+def pure_subclass(psi) -> str:
     """Sort a pure state into ghz-class, w-class, or not-genuine.
 
-    Genuineness comes from :func:`spapt.classify.classify`; among genuine
-    states, a positive tangle (above ``tau_tol``) marks the GHZ class and a
-    vanishing tangle the W class.
+    Genuineness comes from :func:`spapt.classify.classify` at its default
+    ``eps``; among genuine states, a positive tangle (above ``TAU_TOL``)
+    marks the GHZ class and a vanishing tangle the W class.
     """
     psi = pure_state(psi)
-    if classify(density_from_pure(psi), eps).kind != GENUINE:
+    if classify(density_from_pure(psi)).kind != GENUINE:
         return NOT_GENUINE
-    return GHZ_CLASS if three_tangle_pure(psi) > tau_tol else W_CLASS
+    return GHZ_CLASS if three_tangle_pure(psi) > TAU_TOL else W_CLASS

@@ -4,7 +4,8 @@ oracles used to cross-check the library's own code paths.
 Everything here deliberately avoids the library's implementation choices:
 the eigenvalue oracle goes through characteristic-polynomial coefficients
 and companion-matrix roots, partial transposition is rebuilt from the 2x2
-block prescriptions, the tangle oracle uses partial traces and concurrences,
+block prescriptions, the canonical qubit-A channel output is also assembled
+entry by entry, the tangle oracle uses partial traces and concurrences,
 and the worst partial-transpose eigenvalue over inputs is searched by a
 randomized seesaw instead of read off the GHZ state (the seesaw reuses the
 library's axis swap, which the block-prescription route checks).
@@ -143,6 +144,38 @@ def pt_block_form(rho: np.ndarray, q: str) -> np.ndarray:
                     else:
                         out[r, s] = grid[r, s].T
     return _from_grid(out)
+
+
+# ---------------------------------------------------------------------------
+# canonical channel, second route: entry-by-entry assembly
+# ---------------------------------------------------------------------------
+
+def spa_element_map(rho: np.ndarray) -> np.ndarray:
+    """Canonical qubit-A output assembled entry by entry.
+
+    Writes each upper-triangle entry of the output directly from the input
+    entries (diagonal gets 1/10 + t/5, the a=0/a'=1 corner pulls conjugated
+    entries from the mirrored positions, everything else is t/5), then fills
+    the lower triangle by Hermiticity. Must agree entrywise with
+    ``spa_pt(rho, 'A', CANONICAL_WEIGHT)``; the two routes cross-check the
+    transposition indexing.
+    """
+    t = np.asarray(rho, dtype=np.complex128)
+    if t.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 matrix, got {t.shape}")
+    out = np.zeros((8, 8), dtype=np.complex128)
+    for i in range(8):
+        out[i, i] = 1.0 / 10.0 + t[i, i] / 5.0
+    for i in range(8):
+        for j in range(i + 1, 8):
+            if i < 4 and j >= 4:
+                out[i, j] = np.conj(t[j - 4, i + 4]) / 5.0
+            else:
+                out[i, j] = t[i, j] / 5.0
+    for i in range(8):
+        for j in range(i):
+            out[i, j] = np.conj(out[j, i])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from spapt import (
     partial_transpose,
     pure_amplitudes,
     pure_subclass,
-    spa_element_map,
     spa_pt,
     three_tangle_pure,
     to_density,
@@ -41,6 +40,7 @@ from support import (
     random_pure,
     random_qubit,
     random_state_mixed_or_pure,
+    spa_element_map,
     swap_bc_matrix,
     w_param_grid,
 )
@@ -95,7 +95,7 @@ def test_criterion_2_w_pt_spectra_all_cuts():
 
 def test_criterion_3_cp_threshold():
     for q in "ABC":
-        got = min_cp_parameter(q, 1e-6)
+        got = min_cp_parameter(q)
         assert got == pytest.approx(0.8, abs=1e-6), q
     _passed("criterion 3: channel positivity threshold 0.800000 within 1e-6 for each qubit")
 

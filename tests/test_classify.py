@@ -15,7 +15,6 @@ from spapt import (
     catalog,
     channel_minima,
     classify,
-    cut_passes_threshold,
     decide_minima,
     density_from_pure,
     ket,
@@ -23,6 +22,7 @@ from spapt import (
     partial_transpose,
     to_density,
 )
+from spapt.classify import DEFAULT_EPS, cut_passes
 from spapt.errors import NumericalFailure, ParamOutOfRange
 from support import (
     placed_bell,
@@ -126,7 +126,7 @@ class TestClassify:
         calls = [
             lambda: classify(rho, eps=eps),
             lambda: decide_minima({"A": 0.11, "B": 0.11, "C": 0.11}, eps=eps),
-            lambda: cut_passes_threshold(rho, "A", eps=eps),
+            lambda: cut_passes(channel_minima(rho, cuts=("A",))["A"], eps),
         ]
         for call in calls:
             with pytest.raises(ParamOutOfRange, match=repr(eps)):
@@ -191,17 +191,17 @@ class TestCutCheck:
     def test_boundary_family_passes_exactly(self):
         rho = to_density(catalog("s3", 0.4))
         for q in "ABC":
-            assert cut_passes_threshold(rho, q)
+            assert cut_passes(channel_minima(rho, cuts=(q,))[q], DEFAULT_EPS)
 
     def test_balanced_ghz_fails_every_cut(self):
         rho = to_density(catalog("ghz", INV2, INV2))
         for q in "ABC":
-            assert not cut_passes_threshold(rho, q)
+            assert not cut_passes(channel_minima(rho, cuts=(q,))[q], DEFAULT_EPS)
 
     def test_maximally_mixed_passes(self):
         mm = np.eye(8, dtype=complex) / 8.0
         for q in "ABC":
-            assert cut_passes_threshold(mm, q)
+            assert cut_passes(channel_minima(mm, cuts=(q,))[q], DEFAULT_EPS)
 
 
 class TestSymmetries:

@@ -3,6 +3,7 @@
 import importlib
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,14 @@ from spapt.cli import build_report, main
 from spapt.states import MAX_MIX_DEPTH
 
 INV2 = 1.0 / np.sqrt(2.0)
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_OUTPUTS = {
+    "reproduce_table1.csv": ["reproduce", "table1"],
+    "reproduce_table2.csv": ["reproduce", "table2"],
+    "reproduce_examples.csv": ["reproduce", "examples"],
+    "scan_ghz_w.csv": ["scan", "ghz-w", "--grid", "q=0:1:101"],
+    "scan_rho2.csv": ["scan", "rho2", "--grid", "q1=0:0.5:11", "--grid", "q2=0:0.5:11"],
+}
 CLASSIFY_MODULE = importlib.import_module("spapt.classify")
 
 
@@ -133,6 +142,16 @@ class TestClassifyCommand:
         ]}}
         code, _, err = run_cli(["classify", write_state(tmp_path, doc)], capsys)
         assert code == 2
+
+    def test_negative_weight_exits_2_naming_the_part(self, tmp_path, capsys):
+        doc = {"mix": {"parts": [
+            {"weight": 1.5, "state": {"catalog": {"name": "g2"}}},
+            {"weight": -0.5, "state": {"catalog": {"name": "wtilde"}}},
+        ]}}
+        code, out, err = run_cli(["classify", write_state(tmp_path, doc)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: $.mix.parts[1].weight: weight 1 = -0.5 is negative\n"
+        assert "np." not in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(["classify", "/nonexistent/state.json"], capsys)
@@ -265,6 +284,12 @@ class TestReproduceCommand:
         _, second, _ = run_cli(["reproduce", "table1"], capsys)
         assert first == second
         assert "\r" not in first  # LF only
+        # each output byte for byte against its committed golden file; a
+        # change to one of these files is a change to the printed numbers
+        for name, argv in GOLDEN_OUTPUTS.items():
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert out == (DATA / name).read_text(encoding="utf-8"), name
 
 
 class TestScanCommand:

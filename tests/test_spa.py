@@ -16,8 +16,6 @@ from spapt import (
     min_cp_parameter,
     min_eigenvalue,
     partial_transpose,
-    spa_bipartite_threshold,
-    spa_element_map,
     spa_pt,
     to_density,
 )
@@ -28,6 +26,7 @@ from support import (
     random_pure,
     random_state_mixed_or_pure,
     seesaw_worst_pt_min,
+    spa_element_map,
 )
 
 INV2 = 1.0 / np.sqrt(2.0)
@@ -197,10 +196,10 @@ class TestThresholds:
 
     def test_min_cp_parameter_is_four_fifths(self):
         for q in "ABC":
-            assert min_cp_parameter(q, 1e-6) == pytest.approx(0.8, abs=1e-6)
+            assert min_cp_parameter(q) == pytest.approx(0.8, abs=1e-6)
 
     def test_choi_psd_weight_is_32_over_33(self):
-        assert min_choi_psd_parameter("A", 1e-6) == pytest.approx(32 / 33, abs=1e-6)
+        assert min_choi_psd_parameter("A") == pytest.approx(32 / 33, abs=1e-6)
 
     @pytest.mark.parametrize("q, bit", [("A", 0), ("B", 1), ("C", 2)])
     def test_seesaw_search_never_beats_the_closed_form(self, q, bit):
@@ -216,23 +215,6 @@ class TestThresholds:
         assert min_eigenvalue(choi_matrix(q, p_star)) >= -1e-12
         assert min_eigenvalue(choi_matrix(q, p_star - 1e-6)) < -1e-10
 
-    def test_weights_validate_tol(self):
-        for tol in (0.0, -1e-6, float("nan")):
-            with pytest.raises(ParamOutOfRange):
-                min_cp_parameter("A", tol)
-            with pytest.raises(ParamOutOfRange):
-                min_choi_psd_parameter("A", tol)
-
-    def test_bipartite_threshold_values(self):
-        assert spa_bipartite_threshold(2, 0.5) == pytest.approx(2 / 9, abs=1e-15)
-        assert spa_bipartite_threshold(3, 1 / 3) == pytest.approx(3 / 28, abs=1e-15)
-        assert spa_bipartite_threshold(2, 1e-12) == pytest.approx(0.0, abs=1e-11)
-
-    def test_bipartite_threshold_domain(self):
-        with pytest.raises(ParamOutOfRange):
-            spa_bipartite_threshold(1, 0.5)
-        with pytest.raises(ParamOutOfRange):
-            spa_bipartite_threshold(2, 0.0)
 
 
 def test_pure_input_worst_case_saturates_bound():

@@ -125,6 +125,19 @@ class TestConvexMix:
         with pytest.raises(BadWeights):
             convex_mix([(-0.1, rho), (1.1, rho)])
 
+    def test_weight_messages_name_the_weight_in_plain_numbers(self):
+        # numpy 2 reprs scalars as np.float64(...); messages print plain numbers
+        rho = density_from_pure(ket("000"))
+        cases = [
+            ([(1.5, rho), (-0.5, rho)], "weight 1 = -0.5 is negative"),
+            ([(float("nan"), rho), (1.0, rho)], "weight 0 = nan is not finite"),
+            ([(0.25, rho), (0.25, rho)], "weights sum to 0.5, not 1"),
+        ]
+        for parts, message in cases:
+            with pytest.raises(BadWeights) as err:
+                convex_mix(parts)
+            assert str(err.value) == message
+
 
 class TestCatalog:
     def test_ghz_amplitudes(self):
@@ -231,6 +244,16 @@ class TestValidation:
             with pytest.raises(ParamOutOfRange, match=f"{name}: {field}="):
                 catalog(name, *params)
 
+    def test_non_finite_messages_print_plain_numbers(self):
+        with pytest.raises(NotNormalized) as err:
+            pure_state([float("nan"), 0, 0, 0, 0, 0, 0, 1])
+        assert str(err.value) == "amplitude 0 is (nan+0j), not finite"
+        m = np.eye(8, dtype=complex) / 8.0
+        m[0, 0] = float("nan")
+        with pytest.raises(InvariantViolation) as err:
+            as_density_matrix(m)
+        assert str(err.value) == "finite: entry (0, 0) is (nan+0j)"
+
     def test_every_input_error_shares_one_base(self):
         names = ["NonSquare", "NotHermitian", "NotNormalized", "BadWeights", "UnknownName",
                  "ParamOutOfRange", "SchemaError", "InvariantViolation"]
@@ -260,6 +283,16 @@ class TestJsonSchema:
         )
         with pytest.raises(BadWeights):
             parse_state_file(doc)
+
+    def test_negative_weight_named_by_path(self):
+        # the weights sum to 1, so only the sign is wrong
+        doc = {"mix": {"parts": [
+            {"weight": 1.5, "state": {"catalog": {"name": "g2"}}},
+            {"weight": -0.5, "state": {"catalog": {"name": "wtilde"}}},
+        ]}}
+        with pytest.raises(BadWeights) as err:
+            spec_from_obj(doc)
+        assert str(err.value) == "$.mix.parts[1].weight: weight 1 = -0.5 is negative"
 
     def test_schema_error_names_the_path(self):
         with pytest.raises(SchemaError) as err:

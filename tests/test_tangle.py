@@ -8,7 +8,11 @@ from spapt import (
     NOT_GENUINE,
     W_CLASS,
     catalog,
+    channel_minima,
+    density_from_pure,
+    hermitian_eigenvalues,
     ket,
+    partial_transpose,
     pure_amplitudes,
     pure_subclass,
     three_tangle_pure,
@@ -109,6 +113,29 @@ class TestSubclass:
     def test_placed_bell_not_genuine(self):
         rng = np.random.default_rng(67)
         assert pure_subclass(placed_bell(rng, 2)) == NOT_GENUINE
+
+    def test_equal_cut_spectra_do_not_fix_the_class(self):
+        # a pure state's cut spectrum depends only on that cut's Schmidt
+        # coefficients, and these two share them on every cut, so no rule on
+        # the three single-cut spectra can tell GHZ class from W class
+        w = pure_amplitudes(catalog("w", INV3, INV3, INV3))
+        ghz = pure_amplitudes(catalog("ghz", np.sqrt(2.0 / 3.0), np.sqrt(1.0 / 3.0)))
+        rho_w, rho_ghz = density_from_pure(w), density_from_pure(ghz)
+        r = np.sqrt(2.0) / 3.0
+        expected = [-r, 0.0, 0.0, 0.0, 0.0, 1.0 / 3.0, r, 2.0 / 3.0]
+        for q in "ABC":
+            spec_w = hermitian_eigenvalues(partial_transpose(rho_w, q))
+            spec_ghz = hermitian_eigenvalues(partial_transpose(rho_ghz, q))
+            np.testing.assert_allclose(spec_w, spec_ghz, atol=1e-9)
+            np.testing.assert_allclose(spec_w, expected, atol=1e-9)
+        minima_w, minima_ghz = channel_minima(rho_w), channel_minima(rho_ghz)
+        for q in "ABC":
+            assert minima_w[q] == pytest.approx(minima_ghz[q], abs=1e-9)
+            assert minima_w[q] == pytest.approx(0.0057191, abs=1e-7)
+        assert three_tangle_pure(w) == pytest.approx(0.0, abs=1e-12)
+        assert three_tangle_pure(ghz) == pytest.approx(8.0 / 9.0, abs=1e-12)
+        assert pure_subclass(w) == W_CLASS
+        assert pure_subclass(ghz) == GHZ_CLASS
 
     def test_generic_states_split_by_tangle(self):
         # the five-term superposition has positive tangle, so lands ghz-class
