@@ -1,6 +1,7 @@
 """State construction, the catalog, and the JSON schema."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spapt import (
     StateSpec,
     as_density_matrix,
     catalog,
+    catalog_names,
     convex_mix,
     density_from_pure,
     ket,
@@ -19,7 +21,7 @@ from spapt import (
     pure_state,
     to_density,
 )
-from spapt.states import spec_from_obj, spec_to_obj
+from spapt.states import catalog_param_names, spec_from_obj, spec_to_obj
 from spapt import errors
 from spapt.errors import (
     BadWeights,
@@ -37,6 +39,59 @@ INV2 = 1.0 / np.sqrt(2.0)
 
 def block(rho, br, bc):
     return rho[2 * br:2 * br + 2, 2 * bc:2 * bc + 2]
+
+
+def basis_vector(*terms):
+    """Vector sum of (amplitude, label) terms, label ``abc`` at index ``4a + 2b + c``."""
+    v = np.zeros(8)
+    for amplitude, label in terms:
+        v[int(label, 2)] += amplitude
+    return v
+
+
+def projector(v):
+    return np.outer(v, v)
+
+
+def readme_family(name, *params):
+    """(amplitudes or None, density) of a catalog family, built from the
+    README "Catalog families" table without the library's code."""
+    ghz = basis_vector((1, "000"), (1, "111")) / np.sqrt(2)
+    w = basis_vector((1, "001"), (1, "010"), (1, "100")) / np.sqrt(3)
+    wtilde = basis_vector((1, "110"), (1, "101"), (1, "011")) / np.sqrt(3)
+    labels = {"ghz": ("000", "111"), "w": ("001", "010", "100"),
+              "g3": ("000", "100", "111"), "b2": ("001", "101", "111")}
+    if name in labels:
+        v = basis_vector(*zip(params, labels[name]))
+        psi = v / np.linalg.norm(v)
+    elif name == "wtilde":
+        psi = wtilde
+    elif name == "g2":
+        psi = basis_vector(*((1, s) for s in ("000", "100", "101", "110", "111"))) / np.sqrt(5)
+    else:
+        psi = None
+    if psi is not None:
+        return psi, projector(psi)
+    if name == "kye":
+        (a,) = params
+        m = np.diag([4 + a] + [a] * 6 + [4 + a])
+        m[range(8), range(7, -1, -1)] = [2, 2, -2, 2, 2, -2, 2, 2]
+        return None, m / (8 + 8 * a)
+    if name == "s2":
+        (alpha,) = params
+        return None, (1 - alpha) * projector(ghz) + alpha / 8 * np.eye(8)
+    if name == "rho2":
+        q1, q2 = params
+        return None, q1 * projector(ghz) + q2 * projector(w) + (1 - q1 - q2) * projector(wtilde)
+    first, second = {
+        "ghz-w": (ghz, w),
+        "b1": (basis_vector((1, "000"), (1, "011")) / np.sqrt(2),
+               basis_vector((1, "100"), (-1, "111")) / np.sqrt(2)),
+        "s3": (basis_vector((1, "001"), (1, "101")) / np.sqrt(2), basis_vector((1, "111"))),
+        "rho1": (basis_vector((1, "000")), ghz),
+    }[name]
+    (q,) = params
+    return None, q * projector(first) + (1 - q) * projector(second)
 
 
 def test_basis_convention():
@@ -186,6 +241,32 @@ class TestCatalog:
     def test_wtilde_normalization(self):
         psi = pure_amplitudes(catalog("wtilde"))
         np.testing.assert_allclose(np.abs(psi[[3, 5, 6]]), np.ones(3) / np.sqrt(3), atol=1e-15)
+
+    @pytest.mark.parametrize("name, params", [
+        ("ghz", (0.6, 0.8)), ("w", (0.6, 0.48, 0.64)), ("wtilde", ()), ("g2", ()),
+        ("g3", (0.3, 0.4, 0.866)), ("b2", (0.6, 0.1, 0.7937)), ("ghz-w", (0.37,)),
+        ("b1", (0.3,)), ("kye", (4.0,)), ("s2", (0.13,)), ("s3", (0.77,)),
+        ("rho1", (0.41,)), ("rho2", (0.5, 0.3)),
+    ])
+    def test_every_family_matches_its_readme_formula(self, name, params):
+        expected_psi, expected_rho = readme_family(name, *params)
+        spec = catalog(name, *params)
+        np.testing.assert_allclose(to_density(spec), expected_rho, rtol=0, atol=1e-15)
+        psi = pure_amplitudes(spec)
+        if expected_psi is None:
+            assert psi is None
+        else:
+            np.testing.assert_allclose(psi, expected_psi, rtol=0, atol=1e-15)
+
+    def test_readme_table_lists_every_family_and_its_parameters(self):
+        text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text.split("### Catalog families", 1)[1].split("\n\n", 2)[1]
+        listed = {}
+        for row in table.splitlines()[2:]:
+            name, params = (cell.strip().strip("`") for cell in row.split("|")[1:3])
+            listed[name] = () if params == "none" else tuple(params.split(", "))
+        assert sorted(listed) == list(catalog_names())
+        assert listed == {name: catalog_param_names(name) for name in catalog_names()}
 
 
 class TestValidation:
