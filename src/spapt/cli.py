@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .classify import DEFAULT_EPS, channel_minima, check_eps, cut_passes, decide_minima
+from .classify import DEFAULT_EPS, channel_minima, cut_passes, decide_minima
 from .errors import InputError, NumericalFailure, ParamOutOfRange, SchemaError
 from .linalg import hermitian_eigenvalues
 from .ptranspose import QUBITS, partial_transpose
@@ -62,7 +62,6 @@ def _minima_cells(minima: dict[str, float]) -> list[str]:
 def build_report(spec, p: float = CANONICAL_WEIGHT, eps: float = DEFAULT_EPS,
                  qubit: str | None = None, want_tangle: bool = False) -> dict:
     """Full classification report for a parsed state specification."""
-    check_eps(eps)
     rho = to_density(spec)
     started = time.perf_counter()
     cuts = [qubit] if qubit else list(QUBITS)
@@ -263,7 +262,6 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
 
 
 def cmd_scan(args, out) -> int:
-    check_eps(args.eps)
     family = args.family.lower()
     param_names = catalog_param_names(family)
     grids = {}

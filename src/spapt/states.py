@@ -140,18 +140,6 @@ class StateSpec:
     params: tuple[float, ...] | None = None
 
 
-# name -> (parameter names, realization); realizations defined below
-_CATALOG: dict[str, tuple[tuple[str, ...], object]] = {}
-
-
-def _register(name, param_names):
-    def deco(fn):
-        _CATALOG[name] = (param_names, fn)
-        return fn
-
-    return deco
-
-
 def _unit_params(params, where):
     """Renormalize a real amplitude-parameter vector, within the catalog slack."""
     v = np.asarray(params, dtype=float)
@@ -168,63 +156,29 @@ def _probability(x, where):
     return x
 
 
-def _balanced_ghz() -> np.ndarray:
-    return (ket("000") + ket("111")) / np.sqrt(2.0)
+def _uniform(*labels) -> np.ndarray:
+    """Equal superposition of the given basis states."""
+    return sum(ket(label) for label in labels) / np.sqrt(len(labels))
 
 
-def _symmetric_w() -> np.ndarray:
-    return (ket("001") + ket("010") + ket("100")) / np.sqrt(3.0)
+def _amplitudes_on(where, *labels):
+    """Family ``x0|labels[0]> + x1|labels[1]> + ...`` of renormalized real amplitudes."""
+    def build(*params):
+        terms = [x * ket(label) for x, label in zip(_unit_params(params, where), labels)]
+        return sum(terms[1:], terms[0])  # not sum(terms): 0 + -0.0 would flip zero signs
+
+    return build
 
 
-@_register("ghz", ("alpha", "beta"))
-def _ghz(alpha, beta):
-    a, b = _unit_params((alpha, beta), "ghz")
-    return a * ket("000") + b * ket("111")
+def _q_mix(where, first, second):
+    """Family ``q |first><first| + (1-q) |second><second|``; each state is built per call."""
+    def build(q):
+        q = _probability(q, where)
+        return [(q, first()), (1.0 - q, second())]
+
+    return build
 
 
-@_register("w", ("l0", "l1", "l2"))
-def _w(l0, l1, l2):
-    l0, l1, l2 = _unit_params((l0, l1, l2), "w")
-    return l0 * ket("001") + l1 * ket("010") + l2 * ket("100")
-
-
-@_register("wtilde", ())
-def _wtilde():
-    return (ket("110") + ket("101") + ket("011")) / np.sqrt(3.0)
-
-
-@_register("g2", ())
-def _g2():
-    return (ket("000") + ket("100") + ket("101") + ket("110") + ket("111")) / np.sqrt(5.0)
-
-
-@_register("g3", ("l0", "l1", "l2"))
-def _g3(l0, l1, l2):
-    l0, l1, l2 = _unit_params((l0, l1, l2), "g3")
-    return l0 * ket("000") + l1 * ket("100") + l2 * ket("111")
-
-
-@_register("b2", ("l0", "l1", "l2"))
-def _b2(l0, l1, l2):
-    l0, l1, l2 = _unit_params((l0, l1, l2), "b2")
-    return l0 * ket("001") + l1 * ket("101") + l2 * ket("111")
-
-
-@_register("ghz-w", ("q",))
-def _ghz_w(q):
-    q = _probability(q, "ghz-w")
-    return [(q, _balanced_ghz()), (1.0 - q, _symmetric_w())]
-
-
-@_register("b1", ("q",))
-def _b1(q):
-    q = _probability(q, "b1")
-    plus = (ket("000") + ket("011")) / np.sqrt(2.0)
-    minus = (ket("100") - ket("111")) / np.sqrt(2.0)
-    return [(q, plus), (1.0 - q, minus)]
-
-
-@_register("kye", ("a",))
 def _kye(a):
     a = float(a)
     if a < 0.0:
@@ -237,33 +191,40 @@ def _kye(a):
     return m / (8.0 + 8.0 * a)
 
 
-@_register("s2", ("alpha",))
 def _s2(alpha):
     alpha = _probability(alpha, "s2")
-    ghz = _balanced_ghz()
+    ghz = _uniform("000", "111")
     return (1.0 - alpha) * np.outer(ghz, ghz.conj()) + (alpha / 8.0) * np.eye(DIM)
 
 
-@_register("s3", ("q",))
-def _s3(q):
-    q = _probability(q, "s3")
-    psi = (ket("001") + ket("101")) / np.sqrt(2.0)
-    return [(q, psi), (1.0 - q, ket("111"))]
-
-
-@_register("rho1", ("q",))
-def _rho1(q):
-    q = _probability(q, "rho1")
-    return [(q, ket("000")), (1.0 - q, _balanced_ghz())]
-
-
-@_register("rho2", ("q1", "q2"))
 def _rho2(q1, q2):
     q1 = _probability(q1, "rho2")
     q2 = _probability(q2, "rho2")
     if q1 + q2 > 1.0 + 1e-12:
         raise ParamOutOfRange(f"rho2: q1+q2={q1 + q2!r} exceeds 1")
-    return [(q1, _balanced_ghz()), (q2, _symmetric_w()), (max(0.0, 1.0 - q1 - q2), _wtilde())]
+    return [(q1, _uniform("000", "111")), (q2, _uniform("001", "010", "100")),
+            (max(0.0, 1.0 - q1 - q2), _uniform("110", "101", "011"))]
+
+
+# name -> (parameter names, realization): an amplitude vector, an 8x8 matrix,
+# or a list of (weight, amplitude vector) mixture parts
+_CATALOG = {
+    "ghz": (("alpha", "beta"), _amplitudes_on("ghz", "000", "111")),
+    "w": (("l0", "l1", "l2"), _amplitudes_on("w", "001", "010", "100")),
+    "wtilde": ((), lambda: _uniform("110", "101", "011")),
+    "g2": ((), lambda: _uniform("000", "100", "101", "110", "111")),
+    "g3": (("l0", "l1", "l2"), _amplitudes_on("g3", "000", "100", "111")),
+    "b2": (("l0", "l1", "l2"), _amplitudes_on("b2", "001", "101", "111")),
+    "ghz-w": (("q",), _q_mix("ghz-w", lambda: _uniform("000", "111"),
+                             lambda: _uniform("001", "010", "100"))),
+    "b1": (("q",), _q_mix("b1", lambda: _uniform("000", "011"),
+                          lambda: (ket("100") - ket("111")) / np.sqrt(2.0))),
+    "kye": (("a",), _kye),
+    "s2": (("alpha",), _s2),
+    "s3": (("q",), _q_mix("s3", lambda: _uniform("001", "101"), lambda: ket("111"))),
+    "rho1": (("q",), _q_mix("rho1", lambda: ket("000"), lambda: _uniform("000", "111"))),
+    "rho2": (("q1", "q2"), _rho2),
+}
 
 
 def catalog(name: str, *params: float) -> StateSpec:
@@ -296,11 +257,7 @@ def catalog_names() -> tuple[str, ...]:
 def _realize_catalog(name: str, params: tuple[float, ...]):
     raw = _CATALOG[name][1](*params)
     if isinstance(raw, list):
-        parts = []
-        for w, item in raw:
-            rho = np.outer(item, item.conj()) if item.ndim == 1 else item
-            parts.append((w, rho))
-        return convex_mix(parts)
+        return convex_mix((w, np.outer(psi, psi.conj())) for w, psi in raw)
     if raw.ndim == 1:
         return density_from_pure(raw)
     return as_density_matrix(raw)
@@ -315,9 +272,9 @@ def pure_amplitudes(spec: StateSpec) -> np.ndarray | None:
         if isinstance(raw, np.ndarray) and raw.ndim == 1:
             return raw
         if isinstance(raw, list):
-            live = [(w, s) for w, s in raw if w > 0.0]
-            if len(live) == 1 and live[0][1].ndim == 1:
-                return live[0][1]
+            live = [psi for w, psi in raw if w > 0.0]
+            if len(live) == 1:
+                return live[0]
     return None
 
 
@@ -343,10 +300,15 @@ def _is_number(x) -> bool:
 
 
 def _finite(x, path) -> float:
-    """``x`` as a float; ``json`` decodes NaN and Infinity, which are rejected here."""
+    """``x`` as a float; ``json`` decodes NaN, Infinity and integers too large for
+    a double, which are rejected here."""
+    try:
+        x = float(x)
+    except OverflowError:
+        raise SchemaError(path, "expected a finite number, got an integer too large") from None
     if not math.isfinite(x):
         raise SchemaError(path, f"expected a finite number, got {x!r}")
-    return float(x)
+    return x
 
 
 def _parse_complex(obj, path):
@@ -474,8 +436,9 @@ def spec_to_obj(spec: StateSpec):
 def parse_state_file(text: str) -> StateSpec:
     """Parse a JSON state document (see README for the schema)."""
     try:
-        return spec_from_obj(json.loads(text))
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text)
+    except ValueError as exc:  # malformed, or an integer past the int-string digit limit
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("$", "document is nested too deeply") from exc
+    return spec_from_obj(obj)

@@ -51,7 +51,6 @@ def pure_subclass(psi) -> str:
     ``eps``; among genuine states, a positive tangle (above ``TAU_TOL``)
     marks the GHZ class and a vanishing tangle the W class.
     """
-    psi = pure_state(psi)
     if classify(density_from_pure(psi)).kind != GENUINE:
         return NOT_GENUINE
     return GHZ_CLASS if three_tangle_pure(psi) > TAU_TOL else W_CLASS

@@ -199,6 +199,28 @@ class TestClassifyCommand:
         assert err.startswith(f"error: {where}: ")
         assert "finite" in err
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"catalog": {"name": "kye", "params": [1%s]}}' % ("0" * 400), "$.catalog.params[0]"),
+        ('{"pure": {"amplitudes": [-1%s, 0, 0, 0, 0, 0, 0, 1]}}' % ("0" * 400),
+         "$.pure.amplitudes[0]"),
+        ('{"pure": {"amplitudes": [1, [0, 1%s], 0, 0, 0, 0, 0, 0]}}' % ("0" * 400),
+         "$.pure.amplitudes[1][1]"),
+        ('{"matrix": {"re": %s}}' % json.dumps((np.eye(8) / 8).tolist()).replace(
+            "0.125", "1" + "0" * 400, 1), "$.matrix.re[0][0]"),
+        ('{"mix": {"parts": [{"weight": 1%s, "state": {"catalog": {"name": "g2"}}}]}}'
+         % ("0" * 400), "$.mix.parts[0].weight"),
+        ('{"catalog": {"name": "kye", "params": [1%s]}}' % ("0" * 5000), "$"),
+    ], ids=["catalog-param", "amplitude", "pair-part", "matrix-entry", "weight", "digit-limit"])
+    def test_oversized_integers_exit_2_naming_the_field(self, tmp_path, capsys, text, where):
+        # 10**400 overflows a double; 5000 digits exceed the decoder's digit limit
+        path = tmp_path / "state.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["classify", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {where}: ")
+        assert len(err) < 200
+
     def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         from spapt.errors import NumericalFailure
 
