@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvariantViolation, ParamOutOfRange
+
 QUBITS = ("A", "B", "C")
 _BIT = {"A": 0, "B": 1, "C": 2}
 
@@ -19,7 +21,7 @@ def qubit_index(q: str) -> int:
     """Map a qubit label A/B/C to its bit position (A is most significant)."""
     key = str(q).upper()
     if key not in _BIT:
-        raise ValueError(f"qubit label must be one of {QUBITS}, got {q!r}")
+        raise ParamOutOfRange(f"qubit label must be one of {QUBITS}, got {q!r}")
     return _BIT[key]
 
 
@@ -40,5 +42,5 @@ def partial_transpose(rho: np.ndarray, q: str) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got {rho.shape}")
+        raise InvariantViolation("shape", f"expected an 8x8 matrix, got {rho.shape}")
     return transpose_bits(rho, 3, qubit_index(q))

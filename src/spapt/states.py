@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ DIM = 8
 def ket(label: str) -> np.ndarray:
     """Computational basis vector for a label like '010'."""
     if len(label) != 3 or any(ch not in "01" for ch in label):
-        raise ValueError(f"bad basis label {label!r}")
+        raise ParamOutOfRange(f"bad basis label {label!r}")
     v = np.zeros(DIM, dtype=np.complex128)
     v[int(label, 2)] = 1.0
     return v
@@ -129,8 +129,9 @@ def convex_mix(parts: Iterable[tuple[float, np.ndarray]]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Parsed description of a state: pure amplitudes, a raw matrix, a
-    weighted mixture of nested specs, or a named catalog entry."""
+    """Parsed description of a state: pure amplitudes, a raw matrix or a
+    weighted mixture of nested specs; a named catalog entry carries one of
+    those bodies beside its ``name`` and ``params``."""
 
     kind: str
     amplitudes: tuple[complex, ...] | None = None
@@ -156,25 +157,33 @@ def _probability(x, where):
     return x
 
 
-def _uniform(*labels) -> np.ndarray:
+def _pure(v: np.ndarray) -> StateSpec:
+    return StateSpec(kind="pure", amplitudes=tuple(v.tolist()))
+
+
+def _matrix(m: np.ndarray) -> StateSpec:
+    return StateSpec(kind="matrix", matrix=tuple(map(tuple, m.tolist())))
+
+
+def _uniform(*labels) -> StateSpec:
     """Equal superposition of the given basis states."""
-    return sum(ket(label) for label in labels) / np.sqrt(len(labels))
+    return _pure(sum(ket(label) for label in labels) / np.sqrt(len(labels)))
 
 
 def _amplitudes_on(where, *labels):
     """Family ``x0|labels[0]> + x1|labels[1]> + ...`` of renormalized real amplitudes."""
     def build(*params):
         terms = [x * ket(label) for x, label in zip(_unit_params(params, where), labels)]
-        return sum(terms[1:], terms[0])  # not sum(terms): 0 + -0.0 would flip zero signs
+        return _pure(sum(terms[1:], terms[0]))  # not sum(terms): 0 + -0.0 would flip zero signs
 
     return build
 
 
 def _q_mix(where, first, second):
-    """Family ``q |first><first| + (1-q) |second><second|``; each state is built per call."""
+    """Family ``q |first><first| + (1-q) |second><second|``."""
     def build(q):
         q = _probability(q, where)
-        return [(q, first()), (1.0 - q, second())]
+        return StateSpec(kind="mix", parts=((q, first), (1.0 - q, second)))
 
     return build
 
@@ -188,13 +197,12 @@ def _kye(a):
     m[1, 6] = m[6, 1] = 2.0
     m[2, 5] = m[5, 2] = -2.0
     m[3, 4] = m[4, 3] = 2.0
-    return m / (8.0 + 8.0 * a)
+    return _matrix(m / (8.0 + 8.0 * a))
 
 
 def _s2(alpha):
     alpha = _probability(alpha, "s2")
-    ghz = _uniform("000", "111")
-    return (1.0 - alpha) * np.outer(ghz, ghz.conj()) + (alpha / 8.0) * np.eye(DIM)
+    return _matrix((1.0 - alpha) * density_from_pure(_GHZ.amplitudes) + alpha / 8.0 * np.eye(DIM))
 
 
 def _rho2(q1, q2):
@@ -202,33 +210,34 @@ def _rho2(q1, q2):
     q2 = _probability(q2, "rho2")
     if q1 + q2 > 1.0 + 1e-12:
         raise ParamOutOfRange(f"rho2: q1+q2={q1 + q2!r} exceeds 1")
-    return [(q1, _uniform("000", "111")), (q2, _uniform("001", "010", "100")),
-            (max(0.0, 1.0 - q1 - q2), _uniform("110", "101", "011"))]
+    return StateSpec(kind="mix", parts=((q1, _GHZ), (q2, _W), (max(0.0, 1.0 - q1 - q2), _WTILDE)))
 
 
-# name -> (parameter names, realization): an amplitude vector, an 8x8 matrix,
-# or a list of (weight, amplitude vector) mixture parts
+_GHZ = _uniform("000", "111")
+_W = _uniform("001", "010", "100")
+_WTILDE = _uniform("110", "101", "011")
+
+# name -> (parameter names, builder returning a pure, matrix or mix StateSpec)
 _CATALOG = {
     "ghz": (("alpha", "beta"), _amplitudes_on("ghz", "000", "111")),
     "w": (("l0", "l1", "l2"), _amplitudes_on("w", "001", "010", "100")),
-    "wtilde": ((), lambda: _uniform("110", "101", "011")),
+    "wtilde": ((), lambda: _WTILDE),
     "g2": ((), lambda: _uniform("000", "100", "101", "110", "111")),
     "g3": (("l0", "l1", "l2"), _amplitudes_on("g3", "000", "100", "111")),
     "b2": (("l0", "l1", "l2"), _amplitudes_on("b2", "001", "101", "111")),
-    "ghz-w": (("q",), _q_mix("ghz-w", lambda: _uniform("000", "111"),
-                             lambda: _uniform("001", "010", "100"))),
-    "b1": (("q",), _q_mix("b1", lambda: _uniform("000", "011"),
-                          lambda: (ket("100") - ket("111")) / np.sqrt(2.0))),
+    "ghz-w": (("q",), _q_mix("ghz-w", _GHZ, _W)),
+    "b1": (("q",), _q_mix("b1", _uniform("000", "011"),
+                          _pure((ket("100") - ket("111")) / np.sqrt(2.0)))),
     "kye": (("a",), _kye),
     "s2": (("alpha",), _s2),
-    "s3": (("q",), _q_mix("s3", lambda: _uniform("001", "101"), lambda: ket("111"))),
-    "rho1": (("q",), _q_mix("rho1", lambda: ket("000"), lambda: _uniform("000", "111"))),
+    "s3": (("q",), _q_mix("s3", _uniform("001", "101"), _pure(ket("111")))),
+    "rho1": (("q",), _q_mix("rho1", _pure(ket("000")), _GHZ)),
     "rho2": (("q1", "q2"), _rho2),
 }
 
 
 def catalog(name: str, *params: float) -> StateSpec:
-    """StateSpec for a named state family with the given real parameters."""
+    """StateSpec for a named state family; its pure, matrix or mix body is built here, once."""
     param_names = catalog_param_names(name)
     key = str(name).lower()
     if len(params) != len(param_names):
@@ -239,8 +248,8 @@ def catalog(name: str, *params: float) -> StateSpec:
     for pname, v in zip(param_names, values):
         if not math.isfinite(v):
             raise ParamOutOfRange(f"{key}: {pname}={v!r} is not finite")
-    _CATALOG[key][1](*values)  # validate eagerly so bad specs never leave this call
-    return StateSpec(kind="catalog", name=key, params=values)
+    body = _CATALOG[key][1](*values)
+    return replace(body, kind="catalog", name=key, params=values)
 
 
 def catalog_param_names(name: str) -> tuple[str, ...]:
@@ -254,40 +263,22 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
-def _realize_catalog(name: str, params: tuple[float, ...]):
-    raw = _CATALOG[name][1](*params)
-    if isinstance(raw, list):
-        return convex_mix((w, np.outer(psi, psi.conj())) for w, psi in raw)
-    if raw.ndim == 1:
-        return density_from_pure(raw)
-    return as_density_matrix(raw)
-
-
 def pure_amplitudes(spec: StateSpec) -> np.ndarray | None:
-    """Amplitude vector when the spec describes a pure state, else None."""
-    if spec.kind == "pure":
+    """Amplitude vector when the spec is pure, or a mix whose one positive-weight part is."""
+    if spec.amplitudes is not None:
         return pure_state(spec.amplitudes)
-    if spec.kind == "catalog":
-        raw = _CATALOG[spec.name][1](*spec.params)
-        if isinstance(raw, np.ndarray) and raw.ndim == 1:
-            return raw
-        if isinstance(raw, list):
-            live = [psi for w, psi in raw if w > 0.0]
-            if len(live) == 1:
-                return live[0]
-    return None
+    live = [s for w, s in spec.parts or () if w > 0.0]
+    return pure_amplitudes(live[0]) if len(live) == 1 else None
 
 
 def to_density(spec: StateSpec) -> np.ndarray:
     """Realize a StateSpec as a validated density matrix."""
-    if spec.kind == "pure":
+    if spec.amplitudes is not None:
         return density_from_pure(spec.amplitudes)
-    if spec.kind == "matrix":
+    if spec.matrix is not None:
         return as_density_matrix(np.asarray(spec.matrix, dtype=np.complex128))
-    if spec.kind == "mix":
+    if spec.parts is not None:
         return convex_mix((w, to_density(s)) for w, s in spec.parts)
-    if spec.kind == "catalog":
-        return _realize_catalog(spec.name, spec.params)
     raise SchemaError("$", f"unknown spec kind {spec.kind!r}")
 
 
@@ -371,7 +362,7 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
             if "im" in body
             else np.zeros((DIM, DIM))
         )
-        spec = StateSpec(kind="matrix", matrix=tuple(tuple(row) for row in re + 1j * im))
+        spec = _matrix(re + 1j * im)
         to_density(spec)  # hermitian/trace/PSD invariants at parse time
         return spec
 

@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from spapt import Verdict, catalog, classify, parse_state_file, to_density
+from spapt import Verdict, catalog, classify, parse_state_file, states, to_density
 from spapt.cli import build_report, main
 from spapt.states import MAX_MIX_DEPTH
 
@@ -103,6 +103,27 @@ class TestClassifyCommand:
         path = write_state(tmp_path, {"catalog": {"name": "b1", "params": [0.3]}})
         code, _, err = run_cli(["classify", path, "--tangle"], capsys)
         assert code == 2
+        assert "pure" in err
+
+    @pytest.mark.parametrize("live", [
+        {"pure": {"amplitudes": [0.6, 0, 0, 0, 0, 0, 0, 0.8]}},
+        {"catalog": {"name": "ghz", "params": [0.6, 0.8]}},
+    ], ids=["pure", "catalog"])
+    def test_tangle_of_a_mix_with_one_live_pure_part(self, tmp_path, capsys, live):
+        w = {"catalog": {"name": "w", "params": [3 ** -0.5] * 3}}
+        path = write_state(tmp_path, {"mix": {"parts": [
+            {"weight": 1, "state": live}, {"weight": 0, "state": w}]}})
+        code, out, _ = run_cli(["classify", path, "--tangle"], capsys)
+        assert code == 0
+        assert json.loads(out)["tangle"] == pytest.approx(4 * 0.36 * 0.64, abs=1e-12)
+
+    def test_tangle_rejects_a_mix_with_two_live_parts(self, tmp_path, capsys):
+        ghz = {"catalog": {"name": "ghz", "params": [0.6, 0.8]}}
+        path = write_state(tmp_path, {"mix": {"parts": [
+            {"weight": 0.5, "state": ghz}, {"weight": 0.5, "state": ghz}]}})
+        code, out, err = run_cli(["classify", path, "--tangle"], capsys)
+        assert code == 2
+        assert out == ""
         assert "pure" in err
 
     def test_pretty_output(self, tmp_path, capsys):
@@ -458,3 +479,32 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["classify", "-"], capsys)
     assert code == 0
     assert json.loads(out)["verdict"]["kind"] == "fully-separable"
+
+
+def counted_builder(monkeypatch, name):
+    """Replace a catalog family's builder by one that counts its calls."""
+    param_names, build = states._CATALOG[name]
+    calls = []
+
+    def counting(*params):
+        calls.append(params)
+        return build(*params)
+
+    monkeypatch.setitem(states._CATALOG, name, (param_names, counting))
+    return calls
+
+
+def test_scan_builds_each_row_once(capsys, monkeypatch):
+    calls = counted_builder(monkeypatch, "kye")
+    code, out, _ = run_cli(["scan", "kye", "--grid", "a=4,5,6"], capsys)
+    assert code == 0 and len(out.splitlines()) == 4
+    assert calls == [(4.0,), (5.0,), (6.0,)]
+
+
+def test_classify_tangle_builds_the_catalog_state_once(tmp_path, capsys, monkeypatch):
+    calls = counted_builder(monkeypatch, "ghz")
+    path = write_state(tmp_path, {"catalog": {"name": "ghz", "params": [0.6, 0.8]}})
+    code, out, _ = run_cli(["classify", path, "--tangle"], capsys)
+    assert code == 0
+    assert json.loads(out)["tangle"] == pytest.approx(4 * 0.36 * 0.64, abs=1e-12)
+    assert len(calls) == 1

@@ -223,6 +223,11 @@ class TestCatalog:
         with pytest.raises(UnknownName):
             catalog("nope")
 
+    @pytest.mark.parametrize("kind", ["catalog", "bogus"])
+    def test_spec_without_a_body_is_rejected(self, kind):
+        with pytest.raises(SchemaError, match=f"unknown spec kind '{kind}'"):
+            to_density(StateSpec(kind=kind, name="ghz", params=(0.6, 0.8)))
+
     def test_param_out_of_range(self):
         with pytest.raises(ParamOutOfRange):
             catalog("b1", 1.5)
