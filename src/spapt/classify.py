@@ -13,6 +13,10 @@ Decision table (t = 1/10, comparisons within ``eps``):
 A cut passing means only that the state is *consistent with* separability
 across it (PPT there); beyond 2x2 and 2x3 systems PPT cannot exclude bound
 entanglement, so every verdict carries ``necessity_caveat=True``.
+
+The weight is fixed at 4/5 (:mod:`spapt.spa`): at any ``p < 1`` the test
+against ``p/8`` within ``eps`` is the PPT test within ``eps/(1-p)``, so
+another weight only rescales ``eps`` and decides nothing new.
 """
 
 from __future__ import annotations
@@ -73,42 +77,39 @@ def check_eps(eps: float) -> None:
         raise ParamOutOfRange(f"eps={eps!r} must be finite and >= 0")
 
 
-def channel_minima(rho, p: float = CANONICAL_WEIGHT, cuts=QUBITS) -> dict[str, float]:
-    """Smallest eigenvalue of the channel output at weight ``p``, per cut.
+def channel_minima(rho) -> dict[str, float]:
+    """Smallest eigenvalue of the canonical channel output, per cut.
 
     A partial-transpose spectrum lies in [-1/2, 1], so by the affine law each
-    minimum lies in ``[p/8 - (1-p)/2, p/8 + (1-p)]`` ([0, 0.3] at 4/5); one
-    outside it (beyond ``_LAM_SLACK``) raises :class:`NumericalFailure`.
+    minimum lies in [0, 0.3]; one outside it (beyond ``_LAM_SLACK``) raises
+    :class:`NumericalFailure`.
     """
-    minima = {q: min_eigenvalue(spa_pt(rho, q, p)) for q in cuts}
-    lo, hi = round(p / 8.0 - (1.0 - p) / 2.0, 12), round(p / 8.0 + (1.0 - p), 12)
+    minima = {q: min_eigenvalue(spa_pt(rho, q, CANONICAL_WEIGHT)) for q in QUBITS}
     for q, lam in minima.items():
-        if not lo - _LAM_SLACK <= lam <= hi + _LAM_SLACK:
-            raise NumericalFailure(f"channel minimum of cut {q}, {lam!r}, outside [{lo}, {hi}]")
+        if not -_LAM_SLACK <= lam <= 0.3 + _LAM_SLACK:
+            raise NumericalFailure(f"channel minimum of cut {q}, {lam!r}, outside [0.0, 0.3]")
     return minima
 
 
-def cut_passes(lam: float, eps: float, threshold: float = THRESHOLD) -> bool:
-    """True when the channel minimum ``lam`` of a cut reaches ``threshold`` within ``eps``.
+def cut_passes(lam: float, eps: float) -> bool:
+    """True when the channel minimum ``lam`` of a cut reaches 1/10 within ``eps``.
 
     Passing is only consistent with separability across the cut; failing
     certifies entanglement across it.
     """
     check_eps(eps)
-    return lam >= threshold - eps
+    return lam >= THRESHOLD - eps
 
 
-def decide_minima(
-    per_cut, eps: float = DEFAULT_EPS, threshold: float = THRESHOLD
-) -> Verdict:
+def decide_minima(per_cut, eps: float = DEFAULT_EPS) -> Verdict:
     """Apply the decision table to a mapping of cut label -> channel minimum."""
-    passing = [q for q in QUBITS if cut_passes(per_cut[q], eps, threshold)]
+    passing = [q for q in QUBITS if cut_passes(per_cut[q], eps)]
     if not all(math.isfinite(per_cut[q]) for q in QUBITS):
         raise NumericalFailure(f"channel minima {per_cut!r} are not all finite")
     if not passing:
-        return Verdict(GENUINE, (), threshold - max(per_cut.values()))
+        return Verdict(GENUINE, (), THRESHOLD - max(per_cut.values()))
     kind = FULLY_SEPARABLE if len(passing) == 3 else BISEPARABLE
-    margin = max(0.0, min(per_cut[q] for q in passing) - threshold)
+    margin = max(0.0, min(per_cut[q] for q in passing) - THRESHOLD)
     return Verdict(kind, tuple(CUT_NAMES[q] for q in passing), margin)
 
 

@@ -18,17 +18,18 @@ import argparse
 import io
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
 
 import numpy as np
 
-from .classify import DEFAULT_EPS, channel_minima, cut_passes, decide_minima
+from .classify import DEFAULT_EPS, channel_minima, decide_minima
 from .errors import InputError, NumericalFailure, ParamOutOfRange, SchemaError
 from .linalg import hermitian_eigenvalues
 from .ptranspose import QUBITS, partial_transpose
-from .spa import CANONICAL_WEIGHT
+from .spa import CANONICAL_WEIGHT, THRESHOLD
 from .states import (
     catalog,
     catalog_names,
@@ -59,34 +60,25 @@ def _minima_cells(minima: dict[str, float]) -> list[str]:
 # classify
 # ---------------------------------------------------------------------------
 
-def build_report(spec, p: float = CANONICAL_WEIGHT, eps: float = DEFAULT_EPS,
-                 qubit: str | None = None, want_tangle: bool = False) -> dict:
+def build_report(spec, eps: float = DEFAULT_EPS, want_tangle: bool = False) -> dict:
     """Full classification report for a parsed state specification."""
     rho = to_density(spec)
     started = time.perf_counter()
-    cuts = [qubit] if qubit else list(QUBITS)
-    threshold = p / 8.0
     pt_spectra = {
-        q: [float(x) for x in hermitian_eigenvalues(partial_transpose(rho, q))] for q in cuts
+        q: [float(x) for x in hermitian_eigenvalues(partial_transpose(rho, q))] for q in QUBITS
     }
-    minima = channel_minima(rho, p, cuts)
-
+    minima = channel_minima(rho)
+    verdict = decide_minima(minima, eps)
     report = {
         "input": spec_to_obj(spec),
-        "p": p,
-        "threshold": threshold,
+        "p": CANONICAL_WEIGHT,
+        "threshold": THRESHOLD,
         "pt_spectra": pt_spectra,
-        "spa_min": dict(minima),
-        "verdict": None,
+        "spa_min": dict(minima, max=max(minima.values())),
+        "verdict": dict(asdict(verdict), cuts=list(verdict.cuts)),
         "tangle": None,
         "timing": None,
     }
-    if qubit:
-        report["cut_check"] = cut_passes(minima[qubit], eps, threshold)
-    else:
-        report["spa_min"]["max"] = max(minima.values())
-        verdict = decide_minima(minima, eps, threshold)
-        report["verdict"] = dict(asdict(verdict), cuts=list(verdict.cuts))
     if want_tangle:
         psi = pure_amplitudes(spec)
         if psi is None:
@@ -98,19 +90,14 @@ def build_report(spec, p: float = CANONICAL_WEIGHT, eps: float = DEFAULT_EPS,
 
 def _pretty_report(report: dict, out) -> None:
     out.write(f"weight p = {_fmt(report['p'])}, threshold = {_fmt(report['threshold'])}\n")
-    for q, spectrum in sorted(report["pt_spectra"].items()):
+    for q, spectrum in report["pt_spectra"].items():
         out.write(f"PT spectrum {q}: " + " ".join(_fmt(x) for x in spectrum) + "\n")
-    for q in sorted(k for k in report["spa_min"] if k != "max"):
-        out.write(f"channel minimum {q}: {_fmt(report['spa_min'][q])}\n")
-    if "max" in report["spa_min"]:
-        out.write(f"channel minimum max: {_fmt(report['spa_min']['max'])}\n")
-    if report.get("cut_check") is not None and report["verdict"] is None:
-        out.write(f"cut consistent with separability: {report['cut_check']}\n")
-    if report["verdict"] is not None:
-        v = report["verdict"]
-        cuts = f" [{', '.join(v['cuts'])}]" if v["cuts"] else ""
-        out.write(f"verdict: {v['kind']}{cuts} (margin {_fmt(v['margin'])})\n")
-        out.write("note: separability verdicts are necessary-condition based\n")
+    for q, lam in report["spa_min"].items():
+        out.write(f"channel minimum {q}: {_fmt(lam)}\n")
+    v = report["verdict"]
+    cuts = f" [{', '.join(v['cuts'])}]" if v["cuts"] else ""
+    out.write(f"verdict: {v['kind']}{cuts} (margin {_fmt(v['margin'])})\n")
+    out.write("note: separability verdicts are necessary-condition based\n")
     if report["tangle"] is not None:
         out.write(f"three-tangle: {_fmt(report['tangle'])}\n")
 
@@ -125,9 +112,7 @@ def cmd_classify(args, out) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError("$", f"cannot read {args.state_file}: {exc}") from exc
     spec = parse_state_file(text)
-    report = build_report(
-        spec, p=args.p, eps=args.eps, qubit=args.qubit, want_tangle=args.tangle
-    )
+    report = build_report(spec, args.eps, args.tangle)
     if args.pretty:
         _pretty_report(report, out)
     else:
@@ -238,6 +223,9 @@ def cmd_reproduce(args, out) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
+MAX_SCAN_ROWS = 100_000  # rows of one scan, so one argument cannot set its memory
+
+
 def _parse_grid(text: str) -> tuple[str, list[float]]:
     """Parse 'name=lo:hi:count', 'name=v1,v2,...', or 'name=value'."""
     if "=" not in text:
@@ -249,8 +237,8 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
         if ":" in body:
             lo_s, hi_s, n_s = body.split(":")
             count = int(n_s)
-            if count < 1:
-                raise ValueError("count must be >= 1")
+            if not 1 <= count <= MAX_SCAN_ROWS:
+                raise ValueError(f"count must be between 1 and {MAX_SCAN_ROWS}")
             values = np.linspace(float(lo_s), float(hi_s), count).tolist()
         elif "," in body:
             values = [float(x) for x in body.split(",")]
@@ -269,6 +257,9 @@ def cmd_scan(args, out) -> int:
         if name in grids:
             raise SchemaError("--grid", f"parameter {name!r} is given more than once")
         grids[name] = values
+    rows = math.prod(len(v) for v in grids.values())
+    if rows > MAX_SCAN_ROWS:
+        raise SchemaError("--grid", f"grids give {rows} rows, more than {MAX_SCAN_ROWS}")
     unknown = set(grids) - set(param_names)
     if unknown:
         raise ParamOutOfRange(
@@ -311,10 +302,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify a state from a JSON document")
     p_cls.add_argument("state_file", help="path to a JSON state document, or - for stdin")
-    p_cls.add_argument("--qubit", choices=list(QUBITS), default=None,
-                       help="restrict the report to one cut")
-    p_cls.add_argument("--p", type=float, default=CANONICAL_WEIGHT,
-                       help="depolarizing weight (default 4/5; threshold scales to p/8)")
     p_cls.add_argument("--eps", type=float, default=DEFAULT_EPS,
                        help="threshold comparison tolerance")
     p_cls.add_argument("--tangle", action="store_true",

@@ -27,6 +27,7 @@ from spapt.errors import NumericalFailure, ParamOutOfRange
 from support import (
     placed_bell,
     product_state,
+    random_pure,
     random_qubit,
     random_state_mixed_or_pure,
     random_unitary,
@@ -59,26 +60,26 @@ class TestSpectralSummary:
 
     def test_channel_minima_per_cut_and_weight(self):
         rho = to_density(catalog("ghz", INV2, INV2))
-        assert list(channel_minima(rho)) == ["A", "B", "C"]
-        # affine law at p = 0.9 on one cut: 0.9/8 + 0.1 * (-1/2)
-        only_b = channel_minima(rho, 0.9, ("B",))
-        assert list(only_b) == ["B"]
-        assert only_b["B"] == pytest.approx(0.9 / 8 - 0.05, abs=1e-12)
+        minima = channel_minima(rho)
+        assert list(minima) == ["A", "B", "C"]
+        # affine law at the canonical weight: 0.8/8 + 0.2 * (-1/2)
+        for lam in minima.values():
+            assert lam == pytest.approx(0.0, abs=1e-12)
 
     def test_bounds_enforced(self, monkeypatch):
-        # a density matrix's minima lie in [p/8 - (1-p)/2, p/8 + (1-p)];
+        # a density matrix's minima lie in [0.1 - 0.2/2, 0.1 + 0.2] = [0, 0.3];
         # within 1e-10 of either end is accepted, beyond it is a failure
         mm = np.eye(8, dtype=complex) / 8.0
-        for p, lo, hi in ((0.8, 0.0, 0.3), (0.9, 0.0625, 0.2125)):
-            for lam, ok in ((lo - 5e-11, True), (hi + 5e-11, True),
-                            (lo - 1e-9, False), (hi + 1e-9, False)):
-                monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: lam)
-                if ok:
-                    assert channel_minima(mm, p)["A"] == lam
-                else:
-                    bounds = f"outside \\[{lo}, {hi}\\]"
-                    with pytest.raises(NumericalFailure, match=f"cut A, .* {bounds}"):
-                        channel_minima(mm, p)
+        lo, hi = 0.0, 0.3
+        for lam, ok in ((lo - 5e-11, True), (hi + 5e-11, True),
+                        (lo - 1e-9, False), (hi + 1e-9, False)):
+            monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: lam)
+            if ok:
+                assert channel_minima(mm)["A"] == lam
+            else:
+                bounds = f"outside \\[{lo}, {hi}\\]"
+                with pytest.raises(NumericalFailure, match=f"cut A, .* {bounds}"):
+                    channel_minima(mm)
 
 
 class TestClassify:
@@ -126,7 +127,7 @@ class TestClassify:
         calls = [
             lambda: classify(rho, eps=eps),
             lambda: decide_minima({"A": 0.11, "B": 0.11, "C": 0.11}, eps=eps),
-            lambda: cut_passes(channel_minima(rho, cuts=("A",))["A"], eps),
+            lambda: cut_passes(channel_minima(rho)["A"], eps),
         ]
         for call in calls:
             with pytest.raises(ParamOutOfRange, match=repr(eps)):
@@ -191,17 +192,17 @@ class TestCutCheck:
     def test_boundary_family_passes_exactly(self):
         rho = to_density(catalog("s3", 0.4))
         for q in "ABC":
-            assert cut_passes(channel_minima(rho, cuts=(q,))[q], DEFAULT_EPS)
+            assert cut_passes(channel_minima(rho)[q], DEFAULT_EPS)
 
     def test_balanced_ghz_fails_every_cut(self):
         rho = to_density(catalog("ghz", INV2, INV2))
         for q in "ABC":
-            assert not cut_passes(channel_minima(rho, cuts=(q,))[q], DEFAULT_EPS)
+            assert not cut_passes(channel_minima(rho)[q], DEFAULT_EPS)
 
     def test_maximally_mixed_passes(self):
         mm = np.eye(8, dtype=complex) / 8.0
         for q in "ABC":
-            assert cut_passes(channel_minima(mm, cuts=(q,))[q], DEFAULT_EPS)
+            assert cut_passes(channel_minima(mm)[q], DEFAULT_EPS)
 
 
 class TestSymmetries:
@@ -278,3 +279,17 @@ class TestChannelMinimaProperties:
         labels[i], labels[j] = labels[j], labels[i]
         for q, moved_to in zip("ABC", labels):
             assert after[moved_to] == pytest.approx(before[q], abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_pure_state_law(self, seed):
+        # for a pure state the cut-q partial-transpose minimum is
+        # -sqrt(det rho_q), so the channel minimum is 1/10 - sqrt(det rho_q)/5;
+        # rho_q, qubit q's reduced state, is a 2x2 partial trace, no 8x8 solve
+        psi = random_pure(np.random.default_rng(seed))
+        minima = channel_minima(np.outer(psi, psi.conj()))
+        for i, q in enumerate("ABC"):
+            m = np.moveaxis(psi.reshape(2, 2, 2), i, 0).reshape(2, 4)
+            rho_q = m @ m.conj().T
+            det = (rho_q[0, 0] * rho_q[1, 1] - abs(rho_q[0, 1]) ** 2).real
+            assert minima[q] == pytest.approx(0.1 - np.sqrt(det) / 5, abs=1e-12)

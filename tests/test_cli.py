@@ -75,25 +75,6 @@ class TestClassifyCommand:
         assert list(again.cuts) == report["verdict"]["cuts"]
         assert again.margin == pytest.approx(report["verdict"]["margin"], abs=1e-12)
 
-    def test_single_cut_restriction(self, tmp_path, capsys):
-        path = write_state(tmp_path, {"catalog": {"name": "b1", "params": [0.3]}})
-        code, out, _ = run_cli(["classify", path, "--qubit", "A"], capsys)
-        report = json.loads(out)
-        assert code == 0
-        assert report["verdict"] is None
-        assert report["cut_check"] is True
-        assert set(report["pt_spectra"]) == {"A"}
-
-    def test_custom_weight_scales_threshold(self, tmp_path, capsys):
-        path = write_state(tmp_path, {"catalog": {"name": "ghz", "params": [INV2, INV2]}})
-        code, out, _ = run_cli(["classify", path, "--p", "0.9"], capsys)
-        report = json.loads(out)
-        assert code == 0
-        assert report["threshold"] == pytest.approx(0.9 / 8)
-        # affine law: 0.9/8 + 0.1 * (-1/2)
-        assert report["spa_min"]["max"] == pytest.approx(0.9 / 8 - 0.05, abs=1e-12)
-        assert report["verdict"]["kind"] == "genuine-entangled"
-
     def test_tangle_flag(self, tmp_path, capsys):
         path = write_state(tmp_path, {"catalog": {"name": "ghz", "params": [INV2, INV2]}})
         code, out, _ = run_cli(["classify", path, "--tangle"], capsys)
@@ -134,7 +115,7 @@ class TestClassifyCommand:
         assert "0.11" in out
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("extra", [[], ["--qubit", "A"]])
+    @pytest.mark.parametrize("extra", [[], ["--pretty"]])
     def test_bad_eps_exits_2_before_output(self, tmp_path, capsys, eps, extra):
         path = write_state(tmp_path, {"catalog": {"name": "kye", "params": [4]}})
         code, out, err = run_cli(["classify", path, "--eps", eps] + extra, capsys)
@@ -368,6 +349,29 @@ class TestScanCommand:
         assert out == ""
         assert err.startswith("error:")
         assert "eps=" in err
+
+    @pytest.mark.parametrize("grids", [
+        ["q=0:1:1000000000000"],
+        ["q1=0:1:1000", "q2=0:1:101"],
+    ], ids=["one-count", "product"])
+    def test_grid_over_the_row_cap_exits_2(self, capsys, monkeypatch, grids):
+        # rejected before any linspace over the cap and before any row
+        from spapt import cli
+
+        real = np.linspace
+
+        def small_linspace(lo, hi, count):
+            assert count <= cli.MAX_SCAN_ROWS
+            return real(lo, hi, count)
+
+        monkeypatch.setattr(np, "linspace", small_linspace)
+        monkeypatch.setattr(cli, "to_density", lambda spec: pytest.fail("a row was realised"))
+        argv = ["scan", "rho2"] + [arg for g in grids for arg in ("--grid", g)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --grid:")
+        assert str(cli.MAX_SCAN_ROWS) in err
 
     def test_unknown_family_exits_2(self, capsys):
         code, _, err = run_cli(["scan", "mystery", "--grid", "q=0:1:3"], capsys)

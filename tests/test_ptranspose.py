@@ -5,7 +5,6 @@ import pytest
 
 from spapt import (
     catalog,
-    channel_minima,
     choi_matrix,
     density_from_pure,
     hermitian_eigenvalues,
@@ -158,12 +157,11 @@ MAXIMALLY_MIXED = np.eye(8, dtype=complex) / 8.0
 @pytest.mark.parametrize("call, message", [
     (lambda: partial_transpose(MAXIMALLY_MIXED, "D"), "qubit label must be one of"),
     (lambda: spa_pt(MAXIMALLY_MIXED, "D", 0.8), "qubit label must be one of"),
-    (lambda: channel_minima(MAXIMALLY_MIXED, cuts=("D",)), "qubit label must be one of"),
     (lambda: choi_matrix("D", 0.8), "qubit label must be one of"),
     (lambda: min_cp_parameter("D"), "qubit label must be one of"),
     (lambda: partial_transpose(np.eye(4) / 4.0, "A"), r"expected an 8x8 matrix, got \(4, 4\)"),
     (lambda: ket("012"), "bad basis label '012'"),
-], ids=["partial_transpose", "spa_pt", "channel_minima", "choi_matrix", "min_cp_parameter",
+], ids=["partial_transpose", "spa_pt", "choi_matrix", "min_cp_parameter",
         "non-8x8", "ket"])
 def test_bad_api_input_is_an_input_error(call, message):
     with pytest.raises(InputError, match=message):
