@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalFailure, ParamOutOfRange
+from .errors import InputError, NumericalFailure
 from .ptranspose import QUBITS
 from .spa import CANONICAL_WEIGHT, THRESHOLD, spa_pt
 from .linalg import min_eigenvalue
@@ -68,13 +68,13 @@ class Verdict:
 
 
 def check_eps(eps: float) -> None:
-    """Raise :class:`ParamOutOfRange` unless ``eps`` is finite and >= 0.
+    """Raise :class:`InputError` unless ``eps`` is finite and >= 0.
 
     NaN would fail every threshold comparison and infinity pass every one,
     so either would decide the verdict instead of the state.
     """
     if not (math.isfinite(eps) and eps >= 0.0):
-        raise ParamOutOfRange(f"eps={eps!r} must be finite and >= 0")
+        raise InputError(f"eps={eps!r} must be finite and >= 0")
 
 
 def channel_minima(rho) -> dict[str, float]:

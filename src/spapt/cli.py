@@ -26,7 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .classify import DEFAULT_EPS, channel_minima, decide_minima
-from .errors import InputError, NumericalFailure, ParamOutOfRange, SchemaError
+from .errors import InputError, NumericalFailure
 from .linalg import hermitian_eigenvalues
 from .ptranspose import QUBITS, partial_transpose
 from .spa import CANONICAL_WEIGHT, THRESHOLD
@@ -82,7 +82,7 @@ def build_report(spec, eps: float = DEFAULT_EPS, want_tangle: bool = False) -> d
     if want_tangle:
         psi = pure_amplitudes(spec)
         if psi is None:
-            raise ParamOutOfRange("--tangle requires a pure state input")
+            raise InputError("--tangle requires a pure state input")
         report["tangle"] = three_tangle_pure(psi)
     report["timing"] = {"seconds": time.perf_counter() - started}
     return report
@@ -110,7 +110,7 @@ def cmd_classify(args, out) -> int:
             with open(args.state_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise SchemaError("$", f"cannot read {args.state_file}: {exc}") from exc
+            raise InputError(f"$: cannot read {args.state_file}: {exc}") from exc
     spec = parse_state_file(text)
     report = build_report(spec, args.eps, args.tangle)
     if args.pretty:
@@ -229,7 +229,7 @@ MAX_SCAN_ROWS = 100_000  # rows of one scan, so one argument cannot set its memo
 def _parse_grid(text: str) -> tuple[str, list[float]]:
     """Parse 'name=lo:hi:count', 'name=v1,v2,...', or 'name=value'."""
     if "=" not in text:
-        raise SchemaError("--grid", f"expected name=values, got {text!r}")
+        raise InputError(f"--grid: expected name=values, got {text!r}")
     name, _, body = text.partition("=")
     name = name.strip()
     body = body.strip()
@@ -239,13 +239,15 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
             count = int(n_s)
             if not 1 <= count <= MAX_SCAN_ROWS:
                 raise ValueError(f"count must be between 1 and {MAX_SCAN_ROWS}")
+            if not math.isfinite(float(hi_s) - float(lo_s)):  # so are both ends and the step
+                raise ValueError("the range must be finite")
             values = np.linspace(float(lo_s), float(hi_s), count).tolist()
         elif "," in body:
             values = [float(x) for x in body.split(",")]
         else:
             values = [float(body)]
     except ValueError as exc:
-        raise SchemaError("--grid", f"cannot parse {text!r}: {exc}") from exc
+        raise InputError(f"--grid: cannot parse {text!r}: {exc}") from exc
     return name, values
 
 
@@ -255,19 +257,19 @@ def cmd_scan(args, out) -> int:
     grids = {}
     for name, values in map(_parse_grid, args.grid or []):
         if name in grids:
-            raise SchemaError("--grid", f"parameter {name!r} is given more than once")
+            raise InputError(f"--grid: parameter {name!r} is given more than once")
         grids[name] = values
     rows = math.prod(len(v) for v in grids.values())
     if rows > MAX_SCAN_ROWS:
-        raise SchemaError("--grid", f"grids give {rows} rows, more than {MAX_SCAN_ROWS}")
+        raise InputError(f"--grid: grids give {rows} rows, more than {MAX_SCAN_ROWS}")
     unknown = set(grids) - set(param_names)
     if unknown:
-        raise ParamOutOfRange(
+        raise InputError(
             f"{family} has parameters {param_names}; unknown grid name(s) {sorted(unknown)}"
         )
     missing = [n for n in param_names if n not in grids]
     if missing:
-        raise ParamOutOfRange(f"missing --grid for parameter(s) {missing} of {family}")
+        raise InputError(f"missing --grid for parameter(s) {missing} of {family}")
 
     header = list(param_names) + ["lam_a", "lam_b", "lam_c", "lam_max", "verdict"]
     if args.tangle:
@@ -282,7 +284,7 @@ def cmd_scan(args, out) -> int:
         if args.tangle:
             psi = pure_amplitudes(spec)
             if psi is None:
-                raise ParamOutOfRange(f"--tangle requires a pure family, {family} is mixed")
+                raise InputError(f"--tangle requires a pure family, {family} is mixed")
             cells.append(_fmt(three_tangle_pure(psi)))
         out.write(_csv_line(cells))
     return 0

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import NonSquare, NotHermitian, NumericalFailure
+from .errors import InputError, NumericalFailure
 
 HERMITICITY_TOL = 1e-10
 OFFDIAG_TOL = 1e-13
@@ -48,7 +48,7 @@ def _rotation(app: float, aqq: float, apq: complex):
     """Return (c, s, phase) zeroing the (p, q) element of a 2x2 Hermitian block."""
     m = abs(apq)
     phase = apq / m
-    tau = (aqq - app) / (2.0 * m)
+    tau = float(aqq - app) / float(2.0 * m)  # Python floats: past the range, inf and no warning
     if abs(tau) > 1e150:
         t = -0.5 / tau  # sqrt(1 + tau^2) would overflow; asymptotic root
     elif tau >= 0.0:
@@ -92,21 +92,21 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     ``HERMITICITY_TOL`` bounds the hermiticity defect and the trace-moment
     residuals; the input is symmetrized before the solve so the defect never
     biases the spectrum. The spectrum is verified against the first two trace
-    moments (scaled by the second moment for large-norm inputs); a violation
-    means the sweeps did not converge and raises :class:`NumericalFailure`.
+    moments (scaled by the second moment for large-norm inputs); a violation,
+    NaN included, raises :class:`NumericalFailure` (the sweeps did not converge).
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {m.shape}")
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
     if not defect <= HERMITICITY_TOL:
-        raise NotHermitian(defect, HERMITICITY_TOL)
+        raise InputError(f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.3e}")
     h = (m + dagger(m)) / 2.0
     w = _jacobi_eigvalsh(h)
     tr = float(np.trace(h).real)
     tr2 = float(np.trace(h @ h).real)
     bound = HERMITICITY_TOL * max(1.0, abs(tr2))
-    if abs(tr - w.sum()) > bound or abs(tr2 - (w ** 2).sum()) > bound:
+    if not (abs(tr - w.sum()) <= bound and abs(tr2 - (w ** 2).sum()) <= bound):
         raise NumericalFailure(
             f"eigenvalue sweeps left trace residuals above {bound:.3e}"
         )

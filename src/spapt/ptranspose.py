@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantViolation, ParamOutOfRange
+from .errors import InputError
 
 QUBITS = ("A", "B", "C")
 _BIT = {"A": 0, "B": 1, "C": 2}
@@ -21,7 +21,7 @@ def qubit_index(q: str) -> int:
     """Map a qubit label A/B/C to its bit position (A is most significant)."""
     key = str(q).upper()
     if key not in _BIT:
-        raise ParamOutOfRange(f"qubit label must be one of {QUBITS}, got {q!r}")
+        raise InputError(f"qubit label must be one of {QUBITS}, got {q!r}")
     return _BIT[key]
 
 
@@ -42,5 +42,5 @@ def partial_transpose(rho: np.ndarray, q: str) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (8, 8):
-        raise InvariantViolation("shape", f"expected an 8x8 matrix, got {rho.shape}")
+        raise InputError(f"shape: expected an 8x8 matrix, got {rho.shape}")
     return transpose_bits(rho, 3, qubit_index(q))

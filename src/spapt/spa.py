@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import min_eigenvalue
-from .errors import ParamOutOfRange
+from .errors import InputError
 from .ptranspose import partial_transpose, qubit_index, transpose_bits
 from .states import PSD_TOL
 
@@ -48,7 +48,7 @@ THRESHOLD = CANONICAL_WEIGHT / 8.0  # 1/10
 def _check_weight(p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
-        raise ParamOutOfRange(f"mixing weight p={p!r} outside [0, 1]")
+        raise InputError(f"mixing weight p={p!r} outside [0, 1]")
     return p
 
 

@@ -14,14 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadWeights,
-    InvariantViolation,
-    NotNormalized,
-    ParamOutOfRange,
-    SchemaError,
-    UnknownName,
-)
+from .errors import InputError
 from .linalg import dagger, hermiticity_defect, min_eigenvalue
 
 NORM_TOL = 1e-10
@@ -34,6 +27,10 @@ CATALOG_NORM_SLACK = 1e-3
 # Deepest accepted nesting of "mix" objects in a state document. A fixed limit,
 # so acceptance does not depend on how deep the caller's stack already is.
 MAX_MIX_DEPTH = 64
+# Largest modulus of an amplitude, matrix entry or amplitude parameter. A valid
+# state has none above 1; below it, squares and sums of products cannot overflow.
+MAX_MODULUS = 1e150
+_TOO_LARGE = f"above {MAX_MODULUS:g} in modulus"
 
 DIM = 8
 
@@ -41,15 +38,15 @@ DIM = 8
 def ket(label: str) -> np.ndarray:
     """Computational basis vector for a label like '010'."""
     if len(label) != 3 or any(ch not in "01" for ch in label):
-        raise ParamOutOfRange(f"bad basis label {label!r}")
+        raise InputError(f"bad basis label {label!r}")
     v = np.zeros(DIM, dtype=np.complex128)
     v[int(label, 2)] = 1.0
     return v
 
 
-def _first_nonfinite(values: np.ndarray) -> int | None:
-    """Flat index of the first NaN or infinite entry, or None."""
-    bad = np.flatnonzero(~np.isfinite(values))
+def _first_unbounded(values: np.ndarray) -> int | None:
+    """Flat index of the first NaN, infinite or above-``MAX_MODULUS`` entry, or None."""
+    bad = np.flatnonzero(~(np.abs(values) <= MAX_MODULUS))
     return int(bad[0]) if bad.size else None
 
 
@@ -57,13 +54,14 @@ def pure_state(amplitudes: Sequence[complex]) -> np.ndarray:
     """Validate and return an 8-amplitude pure state (unit norm required)."""
     psi = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if psi.shape != (DIM,):
-        raise NotNormalized(f"expected 8 amplitudes, got {psi.shape}")
-    i = _first_nonfinite(psi)
+        raise InputError(f"expected 8 amplitudes, got {psi.shape}")
+    i = _first_unbounded(psi)
     if i is not None:
-        raise NotNormalized(f"amplitude {i} is {complex(psi[i])}, not finite")
+        v = complex(psi[i])
+        raise InputError(f"amplitude {i} is {v}, {_TOO_LARGE if np.isfinite(v) else 'not finite'}")
     norm2 = float(np.sum(np.abs(psi) ** 2))
     if abs(norm2 - 1.0) > NORM_TOL:
-        raise NotNormalized(f"squared norm {norm2!r} differs from 1 beyond {NORM_TOL}")
+        raise InputError(f"squared norm {norm2!r} differs from 1 beyond {NORM_TOL}")
     return psi
 
 
@@ -81,20 +79,22 @@ def as_density_matrix(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (DIM, DIM):
-        raise InvariantViolation("shape", f"expected 8x8, got {m.shape}")
-    i = _first_nonfinite(m)
+        raise InputError(f"shape: expected 8x8, got {m.shape}")
+    i = _first_unbounded(m)
     if i is not None:
-        raise InvariantViolation("finite", f"entry {divmod(i, DIM)} is {complex(m.flat[i])}")
+        v, at = complex(m.flat[i]), divmod(i, DIM)
+        raise InputError(f"modulus: entry {at} is {v}, {_TOO_LARGE}" if np.isfinite(v)
+                         else f"finite: entry {at} is {v}")
     defect = hermiticity_defect(m)
     if defect > RAW_HERM_TOL:
-        raise InvariantViolation("hermitian", f"defect {defect:.3e}")
+        raise InputError(f"hermitian: defect {defect:.3e}")
     m = (m + dagger(m)) / 2.0
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
-        raise InvariantViolation("trace", f"trace {tr!r}")
+        raise InputError(f"trace: trace {tr!r}")
     lo = min_eigenvalue(m)
     if lo < -PSD_TOL:
-        raise InvariantViolation("psd", f"minimum eigenvalue {lo:.3e}")
+        raise InputError(f"psd: minimum eigenvalue {lo:.3e}")
     return m
 
 
@@ -108,9 +108,9 @@ def check_weights(weights: Iterable[float], where: str = "") -> list[float]:
         if not (math.isfinite(w) and w >= 0.0):
             at = f"{where}.parts[{i}].weight: " if where else ""
             why = "not finite" if not math.isfinite(w) else "negative"
-            raise BadWeights(f"{at}weight {i} = {w} is {why}")
+            raise InputError(f"{at}weight {i} = {w} is {why}")
     if abs(sum(weights) - 1.0) > NORM_TOL:
-        raise BadWeights(f"{where + ': ' if where else ''}weights sum to {sum(weights)}, not 1")
+        raise InputError(f"{where + ': ' if where else ''}weights sum to {sum(weights)}, not 1")
     return weights
 
 
@@ -143,17 +143,19 @@ class StateSpec:
 
 def _unit_params(params, where):
     """Renormalize a real amplitude-parameter vector, within the catalog slack."""
+    if max(map(abs, params)) > MAX_MODULUS:
+        raise InputError(f"{where}: a parameter in {params} is {_TOO_LARGE}")
     v = np.asarray(params, dtype=float)
     norm2 = float(np.sum(v * v))
     if abs(norm2 - 1.0) > CATALOG_NORM_SLACK:
-        raise ParamOutOfRange(f"{where}: squared norm {norm2!r} too far from 1")
+        raise InputError(f"{where}: squared norm {norm2!r} too far from 1")
     return v / np.sqrt(norm2)
 
 
 def _probability(x, where):
     x = float(x)
     if not 0.0 <= x <= 1.0:
-        raise ParamOutOfRange(f"{where}: {x!r} outside [0, 1]")
+        raise InputError(f"{where}: {x!r} outside [0, 1]")
     return x
 
 
@@ -191,7 +193,7 @@ def _q_mix(where, first, second):
 def _kye(a):
     a = float(a)
     if a < 0.0:
-        raise ParamOutOfRange(f"kye: a={a!r} must be >= 0")
+        raise InputError(f"kye: a={a!r} must be >= 0")
     m = np.diag([4 + a, a, a, a, a, a, a, 4 + a]).astype(np.complex128)
     m[0, 7] = m[7, 0] = 2.0
     m[1, 6] = m[6, 1] = 2.0
@@ -209,7 +211,7 @@ def _rho2(q1, q2):
     q1 = _probability(q1, "rho2")
     q2 = _probability(q2, "rho2")
     if q1 + q2 > 1.0 + 1e-12:
-        raise ParamOutOfRange(f"rho2: q1+q2={q1 + q2!r} exceeds 1")
+        raise InputError(f"rho2: q1+q2={q1 + q2!r} exceeds 1")
     return StateSpec(kind="mix", parts=((q1, _GHZ), (q2, _W), (max(0.0, 1.0 - q1 - q2), _WTILDE)))
 
 
@@ -241,13 +243,13 @@ def catalog(name: str, *params: float) -> StateSpec:
     param_names = catalog_param_names(name)
     key = str(name).lower()
     if len(params) != len(param_names):
-        raise ParamOutOfRange(
+        raise InputError(
             f"{key}: expected {len(param_names)} parameter(s) {param_names}, got {len(params)}"
         )
     values = tuple(float(p) for p in params)
     for pname, v in zip(param_names, values):
         if not math.isfinite(v):
-            raise ParamOutOfRange(f"{key}: {pname}={v!r} is not finite")
+            raise InputError(f"{key}: {pname}={v!r} is not finite")
     body = _CATALOG[key][1](*values)
     return replace(body, kind="catalog", name=key, params=values)
 
@@ -255,7 +257,7 @@ def catalog(name: str, *params: float) -> StateSpec:
 def catalog_param_names(name: str) -> tuple[str, ...]:
     key = str(name).lower()
     if key not in _CATALOG:
-        raise UnknownName(f"unknown catalog state {name!r}; known: {sorted(_CATALOG)}")
+        raise InputError(f"unknown catalog state {name!r}; known: {sorted(_CATALOG)}")
     return _CATALOG[key][0]
 
 
@@ -271,15 +273,27 @@ def pure_amplitudes(spec: StateSpec) -> np.ndarray | None:
     return pure_amplitudes(live[0]) if len(live) == 1 else None
 
 
+def _at(where: str, fn, *args):
+    """``fn(*args)``, with ``where`` put in front of the message of an InputError it raises."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
 def to_density(spec: StateSpec) -> np.ndarray:
-    """Realize a StateSpec as a validated density matrix."""
+    """Realize a StateSpec as a validated density matrix; a family's errors start with its name."""
+    return _realise(spec) if spec.name is None else _at(spec.name, _realise, spec)
+
+
+def _realise(spec: StateSpec) -> np.ndarray:
     if spec.amplitudes is not None:
         return density_from_pure(spec.amplitudes)
     if spec.matrix is not None:
         return as_density_matrix(np.asarray(spec.matrix, dtype=np.complex128))
     if spec.parts is not None:
         return convex_mix((w, to_density(s)) for w, s in spec.parts)
-    raise SchemaError("$", f"unknown spec kind {spec.kind!r}")
+    raise InputError(f"$: unknown spec kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +310,9 @@ def _finite(x, path) -> float:
     try:
         x = float(x)
     except OverflowError:
-        raise SchemaError(path, "expected a finite number, got an integer too large") from None
+        raise InputError(f"{path}: expected a finite number, got an integer too large") from None
     if not math.isfinite(x):
-        raise SchemaError(path, f"expected a finite number, got {x!r}")
+        raise InputError(f"{path}: expected a finite number, got {x!r}")
     return x
 
 
@@ -307,7 +321,7 @@ def _parse_complex(obj, path):
         return complex(_finite(obj, path), 0.0)
     if isinstance(obj, list) and len(obj) == 2 and all(_is_number(x) for x in obj):
         return complex(_finite(obj[0], f"{path}[0]"), _finite(obj[1], f"{path}[1]"))
-    raise SchemaError(path, "expected a number or a [re, im] pair")
+    raise InputError(f"{path}: expected a number or a [re, im] pair")
 
 
 def _parse_real_grid(obj, path):
@@ -316,11 +330,11 @@ def _parse_real_grid(obj, path):
         or len(obj) != DIM
         or any(not isinstance(row, list) or len(row) != DIM for row in obj)
     ):
-        raise SchemaError(path, "expected an 8x8 array of numbers")
+        raise InputError(f"{path}: expected an 8x8 array of numbers")
     for i, row in enumerate(obj):
         for j, x in enumerate(row):
             if not _is_number(x):
-                raise SchemaError(f"{path}[{i}][{j}]", "expected a number")
+                raise InputError(f"{path}[{i}][{j}]: expected a number")
             _finite(x, f"{path}[{i}][{j}]")
     return np.asarray(obj, dtype=float)
 
@@ -332,30 +346,30 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
     ``MAX_MIX_DEPTH`` others is rejected.
     """
     if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
+        raise InputError(f"{path}: expected an object")
     keys = set(obj)
     known = {"pure", "matrix", "mix", "catalog"}
     if len(keys) != 1 or not keys <= known:
-        raise SchemaError(path, f"expected exactly one of {sorted(known)}, got {sorted(keys)}")
+        raise InputError(f"{path}: expected exactly one of {sorted(known)}, got {sorted(keys)}")
 
     if "pure" in obj:
         body = obj["pure"]
         if not isinstance(body, dict) or set(body) != {"amplitudes"}:
-            raise SchemaError(f"{path}.pure", "expected an object with 'amplitudes'")
+            raise InputError(f"{path}.pure: expected an object with 'amplitudes'")
         amps = body["amplitudes"]
         if not isinstance(amps, list) or len(amps) != DIM:
-            raise SchemaError(f"{path}.pure.amplitudes", "expected 8 entries")
+            raise InputError(f"{path}.pure.amplitudes: expected 8 entries")
         values = [
             _parse_complex(a, f"{path}.pure.amplitudes[{i}]") for i, a in enumerate(amps)
         ]
         spec = StateSpec(kind="pure", amplitudes=tuple(values))
-        pure_state(spec.amplitudes)  # norm invariant at parse time
+        _at(f"{path}.pure.amplitudes", pure_state, spec.amplitudes)  # norm, at parse time
         return spec
 
     if "matrix" in obj:
         body = obj["matrix"]
         if not isinstance(body, dict) or not set(body) <= {"re", "im"} or "re" not in body:
-            raise SchemaError(f"{path}.matrix", "expected an object with 're' (and optional 'im')")
+            raise InputError(f"{path}.matrix: expected an object with 're' (and optional 'im')")
         re = _parse_real_grid(body["re"], f"{path}.matrix.re")
         im = (
             _parse_real_grid(body["im"], f"{path}.matrix.im")
@@ -363,26 +377,26 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
             else np.zeros((DIM, DIM))
         )
         spec = _matrix(re + 1j * im)
-        to_density(spec)  # hermitian/trace/PSD invariants at parse time
+        _at(f"{path}.matrix", to_density, spec)  # hermitian/trace/PSD, at parse time
         return spec
 
     if "mix" in obj:
         if depth >= MAX_MIX_DEPTH:
-            raise SchemaError(f"{path}.mix", f"mix nested more than {MAX_MIX_DEPTH} levels deep")
+            raise InputError(f"{path}.mix: mix nested more than {MAX_MIX_DEPTH} levels deep")
         body = obj["mix"]
         if not isinstance(body, dict) or set(body) != {"parts"}:
-            raise SchemaError(f"{path}.mix", "expected an object with 'parts'")
+            raise InputError(f"{path}.mix: expected an object with 'parts'")
         parts = body["parts"]
         if not isinstance(parts, list) or not parts:
-            raise SchemaError(f"{path}.mix.parts", "expected a non-empty list")
+            raise InputError(f"{path}.mix.parts: expected a non-empty list")
         out = []
         for i, part in enumerate(parts):
             ppath = f"{path}.mix.parts[{i}]"
             if not isinstance(part, dict) or set(part) != {"weight", "state"}:
-                raise SchemaError(ppath, "expected an object with 'weight' and 'state'")
+                raise InputError(f"{ppath}: expected an object with 'weight' and 'state'")
             w = part["weight"]
             if not _is_number(w):
-                raise SchemaError(f"{ppath}.weight", "expected a number")
+                raise InputError(f"{ppath}.weight: expected a number")
             w = _finite(w, f"{ppath}.weight")
             out.append((w, spec_from_obj(part["state"], f"{ppath}.state", depth + 1)))
         check_weights((w for w, _ in out), f"{path}.mix")
@@ -390,14 +404,14 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
 
     body = obj["catalog"]
     if not isinstance(body, dict) or not {"name"} <= set(body) or not set(body) <= {"name", "params"}:
-        raise SchemaError(f"{path}.catalog", "expected an object with 'name' and optional 'params'")
+        raise InputError(f"{path}.catalog: expected an object with 'name' and optional 'params'")
     if not isinstance(body["name"], str):
-        raise SchemaError(f"{path}.catalog.name", "expected a string")
+        raise InputError(f"{path}.catalog.name: expected a string")
     params = body.get("params", [])
     if not isinstance(params, list) or not all(_is_number(p) for p in params):
-        raise SchemaError(f"{path}.catalog.params", "expected a list of numbers")
-    return catalog(body["name"], *(_finite(p, f"{path}.catalog.params[{i}]")
-                                   for i, p in enumerate(params)))
+        raise InputError(f"{path}.catalog.params: expected a list of numbers")
+    return _at(f"{path}.catalog", catalog, body["name"],
+               *(_finite(p, f"{path}.catalog.params[{i}]") for i, p in enumerate(params)))
 
 
 def spec_to_obj(spec: StateSpec):
@@ -429,7 +443,7 @@ def parse_state_file(text: str) -> StateSpec:
     try:
         obj = json.loads(text)
     except ValueError as exc:  # malformed, or an integer past the int-string digit limit
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
+        raise InputError(f"$: invalid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise SchemaError("$", "document is nested too deeply") from exc
+        raise InputError("$: document is nested too deeply") from exc
     return spec_from_obj(obj)

@@ -23,7 +23,7 @@ from spapt import (
     to_density,
 )
 from spapt.classify import DEFAULT_EPS, cut_passes
-from spapt.errors import NumericalFailure, ParamOutOfRange
+from spapt.errors import InputError, NumericalFailure
 from support import (
     placed_bell,
     product_state,
@@ -116,7 +116,7 @@ class TestClassify:
             assert again == first  # bit-for-bit, dataclass equality
 
     def test_eps_must_be_nonnegative(self):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(InputError, match=r"eps=-1.0 must be finite and >= 0"):
             classify(np.eye(8, dtype=complex) / 8.0, eps=-1.0)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
@@ -130,7 +130,7 @@ class TestClassify:
             lambda: cut_passes(channel_minima(rho)["A"], eps),
         ]
         for call in calls:
-            with pytest.raises(ParamOutOfRange, match=repr(eps)):
+            with pytest.raises(InputError, match=f"eps={eps!r} must be finite and >= 0"):
                 call()
 
 

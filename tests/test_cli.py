@@ -30,6 +30,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def matrix_doc_with_offdiagonal(x):
+    """Matrix document of I/8 with ``x`` at entries (0, 1) and (1, 0)."""
+    m = np.eye(8) / 8.0
+    m[0, 1] = m[1, 0] = x
+    return {"matrix": {"re": m.tolist()}}
+
+
 def write_state(tmp_path, doc, name="state.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -236,6 +243,32 @@ class TestClassifyCommand:
         assert out == ""
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("doc, line", [
+        ({"pure": {"amplitudes": [2, 0, 0, 0, 0, 0, 0, 0]}},
+         "$.pure.amplitudes: squared norm 4.0 differs from 1 beyond 1e-10"),
+        ({"mix": {"parts": [{"weight": 0.5, "state": {"catalog": {"name": "g2"}}},
+                            {"weight": 0.5, "state": {"matrix": {"re": [[0.0] * 8] * 8}}}]}},
+         "$.mix.parts[1].state.matrix: trace: trace 0.0"),
+        ({"catalog": {"name": "kye", "params": [1]}}, "kye: psd: minimum eigenvalue -6.250e-02"),
+        ({"catalog": {"name": "b1", "params": [1.5]}}, "$.catalog: b1: 1.5 outside [0, 1]"),
+    ], ids=["pure-norm", "matrix-trace", "family-psd", "catalog-param"])
+    def test_document_error_names_its_path_or_family(self, tmp_path, capsys, doc, line):
+        code, out, err = run_cli(["classify", write_state(tmp_path, doc)], capsys)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("doc, line", [
+        ({"pure": {"amplitudes": [1e200, 0, 0, 0, 0, 0, 0, 0]}},
+         "$.pure.amplitudes: amplitude 0 is (1e+200+0j), above 1e+150 in modulus"),
+        (matrix_doc_with_offdiagonal(1e308),
+         "$.matrix: modulus: entry (0, 1) is (1e+308+0j), above 1e+150 in modulus"),
+        (matrix_doc_with_offdiagonal(1e160),
+         "$.matrix: modulus: entry (0, 1) is (1e+160+0j), above 1e+150 in modulus"),
+    ], ids=["amplitude", "matrix-overflows-sum", "matrix-overflows-solver"])
+    def test_huge_finite_numbers_exit_2_with_one_line(self, tmp_path, capsys, doc, line):
+        # squaring or adding these overflows; numpy would warn before the error
+        code, out, err = run_cli(["classify", write_state(tmp_path, doc)], capsys)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
     def test_deeply_nested_document_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text(nested_mix(400), encoding="utf-8")
@@ -412,6 +445,17 @@ class TestScanCommand:
         assert out == ""
         assert err.startswith("error: --grid:")
         assert "'q'" in err
+
+    @pytest.mark.parametrize("argv, line", [
+        (["ghz", "--grid", "alpha=1e200", "--grid", "beta=1"],
+         "ghz: a parameter in (1e+200, 1.0) is above 1e+150 in modulus"),
+        (["ghz-w", "--grid", "q=0:inf:3"],
+         "--grid: cannot parse 'q=0:inf:3': the range must be finite"),
+        (["ghz-w", "--grid", "q=-1e308:1e308:3"],
+         "--grid: cannot parse 'q=-1e308:1e308:3': the range must be finite"),
+    ], ids=["huge-parameter", "infinite-range", "range-overflows"])
+    def test_huge_or_infinite_grid_exits_2_with_one_line(self, capsys, argv, line):
+        assert run_cli(["scan"] + argv, capsys) == (2, "", f"error: {line}\n")
 
     def test_non_finite_grid_value_exits_2(self, capsys):
         code, out, err = run_cli(["scan", "kye", "--grid", "a=4,nan"], capsys)

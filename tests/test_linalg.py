@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spapt import dagger, hermitian_eigenvalues, min_eigenvalue
-from spapt.errors import NonSquare, NotHermitian
+from spapt.errors import InputError, NumericalFailure
 from spapt.states import density_from_pure, ket
 from spapt.ptranspose import partial_transpose
 from support import charpoly_eigenvalues, random_complex, random_hermitian
@@ -79,15 +79,21 @@ class TestHermitianEigenvalues:
             )
 
     def test_rejects_non_square(self):
-        with pytest.raises(NonSquare):
+        with pytest.raises(InputError, match=r"expected a square matrix, got shape \(2, 3\)"):
             hermitian_eigenvalues(np.ones((2, 3), dtype=complex))
 
     def test_rejects_non_hermitian_and_reports_defect(self):
         m = np.eye(2, dtype=complex)
         m[0, 1] = 1e-3
-        with pytest.raises(NotHermitian) as err:
+        with pytest.raises(InputError, match="hermiticity defect 1.000e-03 exceeds tolerance"):
             hermitian_eigenvalues(m)
-        assert err.value.defect == pytest.approx(1e-3)
+
+    def test_nan_trace_residual_fails_closed(self):
+        # h @ h overflows, so a residual is NaN, and NaN > bound is False
+        m = np.eye(8, dtype=complex) / 8.0
+        m[0, 1] = m[1, 0] = 1e160
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="trace residuals"):
+            hermitian_eigenvalues(m)
 
     def test_trace_residuals(self):
         rng = np.random.default_rng(7)

@@ -19,7 +19,7 @@ from spapt import (
     spa_pt,
     to_density,
 )
-from spapt.errors import ParamOutOfRange
+from spapt.errors import InputError
 from spapt.spa import worst_case_pt_min
 from support import (
     random_density,
@@ -90,7 +90,7 @@ class TestChannel:
                 )
 
     def test_weight_out_of_range(self):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(InputError, match=r"mixing weight p=1.2 outside \[0, 1\]"):
             spa_pt(MM, "A", 1.2)
 
     def test_trace_preserved_for_all_weights(self):

@@ -17,7 +17,7 @@ from spapt import (
     pure_subclass,
     three_tangle_pure,
 )
-from spapt.errors import NotNormalized
+from spapt.errors import InputError
 from support import ckw_residual_tangle, placed_bell, product_state, random_pure, random_qubit
 
 INV2 = 1.0 / np.sqrt(2.0)
@@ -96,7 +96,7 @@ def test_range():
 
 
 def test_rejects_unnormalized():
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InputError, match="squared norm 8.0 differs from 1"):
         three_tangle_pure(np.ones(8))
 
 
