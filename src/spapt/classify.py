@@ -28,6 +28,7 @@ from .errors import InputError, NumericalFailure
 from .ptranspose import QUBITS
 from .spa import CANONICAL_WEIGHT, THRESHOLD, spa_pt
 from .linalg import min_eigenvalue
+from .states import as_density_matrix
 
 CUT_NAMES = {"A": "A-BC", "B": "B-AC", "C": "C-AB"}
 DEFAULT_EPS = 1e-9
@@ -80,8 +81,10 @@ def check_eps(eps: float) -> None:
 def channel_minima(rho) -> dict[str, float]:
     """Smallest eigenvalue of the canonical channel output, per cut.
 
-    A partial-transpose spectrum lies in [-1/2, 1], so by the affine law each
-    minimum lies in [0, 0.3]; one outside it (beyond ``_LAM_SLACK``) raises
+    A numeric function of any Hermitian 8x8 ``rho``, which it does not check
+    to be a state (:func:`classify` does). A state's partial-transpose
+    spectrum lies in [-1/2, 1], so by the affine law each minimum lies in
+    [0, 0.3]; one outside it (beyond ``_LAM_SLACK``) raises
     :class:`NumericalFailure`.
     """
     minima = {q: min_eigenvalue(spa_pt(rho, q, CANONICAL_WEIGHT)) for q in QUBITS}
@@ -114,5 +117,6 @@ def decide_minima(per_cut, eps: float = DEFAULT_EPS) -> Verdict:
 
 
 def classify(rho, eps: float = DEFAULT_EPS) -> Verdict:
-    """Classify a three-qubit density matrix per the decision table."""
-    return decide_minima(channel_minima(rho), eps)
+    """Classify a three-qubit density matrix per the decision table; a matrix
+    that is not a state raises :class:`InputError` (see ``as_density_matrix``)."""
+    return decide_minima(channel_minima(as_density_matrix(rho)), eps)

@@ -227,7 +227,7 @@ MAX_SCAN_ROWS = 100_000  # rows of one scan, so one argument cannot set its memo
 
 
 def _parse_grid(text: str) -> tuple[str, list[float]]:
-    """Parse 'name=lo:hi:count', 'name=v1,v2,...', or 'name=value'."""
+    """Parse 'name=lo:hi:count' or 'name=v1,v2,...' (one value is a one-item list)."""
     if "=" not in text:
         raise InputError(f"--grid: expected name=values, got {text!r}")
     name, _, body = text.partition("=")
@@ -242,10 +242,8 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
             if not math.isfinite(float(hi_s) - float(lo_s)):  # so are both ends and the step
                 raise ValueError("the range must be finite")
             values = np.linspace(float(lo_s), float(hi_s), count).tolist()
-        elif "," in body:
-            values = [float(x) for x in body.split(",")]
         else:
-            values = [float(body)]
+            values = [float(x) for x in body.split(",")]
     except ValueError as exc:
         raise InputError(f"--grid: cannot parse {text!r}: {exc}") from exc
     return name, values

@@ -129,11 +129,11 @@ def convex_mix(parts: Iterable[tuple[float, np.ndarray]]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Parsed description of a state: pure amplitudes, a raw matrix or a
-    weighted mixture of nested specs; a named catalog entry carries one of
-    those bodies beside its ``name`` and ``params``."""
+    """Parsed description of a state, whose form is its body: ``amplitudes``
+    (pure), ``matrix`` (raw) or ``parts`` (a weighted mixture of nested specs),
+    read in that order. A named catalog entry carries one of those bodies
+    beside its ``name`` and ``params``."""
 
-    kind: str
     amplitudes: tuple[complex, ...] | None = None
     matrix: tuple[tuple[complex, ...], ...] | None = None
     parts: tuple[tuple[float, "StateSpec"], ...] | None = None
@@ -141,30 +141,33 @@ class StateSpec:
     params: tuple[float, ...] | None = None
 
 
-def _unit_params(params, where):
+_NO_BODY = "spec has no amplitudes, matrix or parts"
+
+
+def _unit_params(params):
     """Renormalize a real amplitude-parameter vector, within the catalog slack."""
     if max(map(abs, params)) > MAX_MODULUS:
-        raise InputError(f"{where}: a parameter in {params} is {_TOO_LARGE}")
+        raise InputError(f"a parameter in {params} is {_TOO_LARGE}")
     v = np.asarray(params, dtype=float)
     norm2 = float(np.sum(v * v))
     if abs(norm2 - 1.0) > CATALOG_NORM_SLACK:
-        raise InputError(f"{where}: squared norm {norm2!r} too far from 1")
+        raise InputError(f"squared norm {norm2!r} too far from 1")
     return v / np.sqrt(norm2)
 
 
-def _probability(x, where):
+def _probability(x):
     x = float(x)
     if not 0.0 <= x <= 1.0:
-        raise InputError(f"{where}: {x!r} outside [0, 1]")
+        raise InputError(f"{x!r} outside [0, 1]")
     return x
 
 
 def _pure(v: np.ndarray) -> StateSpec:
-    return StateSpec(kind="pure", amplitudes=tuple(v.tolist()))
+    return StateSpec(amplitudes=tuple(v.tolist()))
 
 
 def _matrix(m: np.ndarray) -> StateSpec:
-    return StateSpec(kind="matrix", matrix=tuple(map(tuple, m.tolist())))
+    return StateSpec(matrix=tuple(map(tuple, m.tolist())))
 
 
 def _uniform(*labels) -> StateSpec:
@@ -172,20 +175,20 @@ def _uniform(*labels) -> StateSpec:
     return _pure(sum(ket(label) for label in labels) / np.sqrt(len(labels)))
 
 
-def _amplitudes_on(where, *labels):
+def _amplitudes_on(*labels):
     """Family ``x0|labels[0]> + x1|labels[1]> + ...`` of renormalized real amplitudes."""
     def build(*params):
-        terms = [x * ket(label) for x, label in zip(_unit_params(params, where), labels)]
+        terms = [x * ket(label) for x, label in zip(_unit_params(params), labels)]
         return _pure(sum(terms[1:], terms[0]))  # not sum(terms): 0 + -0.0 would flip zero signs
 
     return build
 
 
-def _q_mix(where, first, second):
+def _q_mix(first, second):
     """Family ``q |first><first| + (1-q) |second><second|``."""
     def build(q):
-        q = _probability(q, where)
-        return StateSpec(kind="mix", parts=((q, first), (1.0 - q, second)))
+        q = _probability(q)
+        return StateSpec(parts=((q, first), (1.0 - q, second)))
 
     return build
 
@@ -193,47 +196,48 @@ def _q_mix(where, first, second):
 def _kye(a):
     a = float(a)
     if a < 0.0:
-        raise InputError(f"kye: a={a!r} must be >= 0")
+        raise InputError(f"a={a!r} must be >= 0")
     m = np.diag([4 + a, a, a, a, a, a, a, 4 + a]).astype(np.complex128)
     m[0, 7] = m[7, 0] = 2.0
     m[1, 6] = m[6, 1] = 2.0
     m[2, 5] = m[5, 2] = -2.0
     m[3, 4] = m[4, 3] = 2.0
-    return _matrix(m / (8.0 + 8.0 * a))
+    return _matrix(m / 8.0 / (1.0 + a))  # not / (8 + 8a), which overflows for a near 1e308
 
 
 def _s2(alpha):
-    alpha = _probability(alpha, "s2")
+    alpha = _probability(alpha)
     return _matrix((1.0 - alpha) * density_from_pure(_GHZ.amplitudes) + alpha / 8.0 * np.eye(DIM))
 
 
 def _rho2(q1, q2):
-    q1 = _probability(q1, "rho2")
-    q2 = _probability(q2, "rho2")
+    q1 = _probability(q1)
+    q2 = _probability(q2)
     if q1 + q2 > 1.0 + 1e-12:
-        raise InputError(f"rho2: q1+q2={q1 + q2!r} exceeds 1")
-    return StateSpec(kind="mix", parts=((q1, _GHZ), (q2, _W), (max(0.0, 1.0 - q1 - q2), _WTILDE)))
+        raise InputError(f"q1+q2={q1 + q2!r} exceeds 1")
+    return StateSpec(parts=((q1, _GHZ), (q2, _W), (max(0.0, 1.0 - q1 - q2), _WTILDE)))
 
 
 _GHZ = _uniform("000", "111")
 _W = _uniform("001", "010", "100")
 _WTILDE = _uniform("110", "101", "011")
 
-# name -> (parameter names, builder returning a pure, matrix or mix StateSpec)
+# name -> (parameter names, builder returning a pure, matrix or mix StateSpec);
+# catalog() puts the name in front of a builder's error messages
 _CATALOG = {
-    "ghz": (("alpha", "beta"), _amplitudes_on("ghz", "000", "111")),
-    "w": (("l0", "l1", "l2"), _amplitudes_on("w", "001", "010", "100")),
+    "ghz": (("alpha", "beta"), _amplitudes_on("000", "111")),
+    "w": (("l0", "l1", "l2"), _amplitudes_on("001", "010", "100")),
     "wtilde": ((), lambda: _WTILDE),
     "g2": ((), lambda: _uniform("000", "100", "101", "110", "111")),
-    "g3": (("l0", "l1", "l2"), _amplitudes_on("g3", "000", "100", "111")),
-    "b2": (("l0", "l1", "l2"), _amplitudes_on("b2", "001", "101", "111")),
-    "ghz-w": (("q",), _q_mix("ghz-w", _GHZ, _W)),
-    "b1": (("q",), _q_mix("b1", _uniform("000", "011"),
+    "g3": (("l0", "l1", "l2"), _amplitudes_on("000", "100", "111")),
+    "b2": (("l0", "l1", "l2"), _amplitudes_on("001", "101", "111")),
+    "ghz-w": (("q",), _q_mix(_GHZ, _W)),
+    "b1": (("q",), _q_mix(_uniform("000", "011"),
                           _pure((ket("100") - ket("111")) / np.sqrt(2.0)))),
     "kye": (("a",), _kye),
     "s2": (("alpha",), _s2),
-    "s3": (("q",), _q_mix("s3", _uniform("001", "101"), _pure(ket("111")))),
-    "rho1": (("q",), _q_mix("rho1", _pure(ket("000")), _GHZ)),
+    "s3": (("q",), _q_mix(_uniform("001", "101"), _pure(ket("111")))),
+    "rho1": (("q",), _q_mix(_pure(ket("000")), _GHZ)),
     "rho2": (("q1", "q2"), _rho2),
 }
 
@@ -250,8 +254,8 @@ def catalog(name: str, *params: float) -> StateSpec:
     for pname, v in zip(param_names, values):
         if not math.isfinite(v):
             raise InputError(f"{key}: {pname}={v!r} is not finite")
-    body = _CATALOG[key][1](*values)
-    return replace(body, kind="catalog", name=key, params=values)
+    body = _at(key, _CATALOG[key][1], *values)
+    return replace(body, name=key, params=values)
 
 
 def catalog_param_names(name: str) -> tuple[str, ...]:
@@ -293,7 +297,7 @@ def _realise(spec: StateSpec) -> np.ndarray:
         return as_density_matrix(np.asarray(spec.matrix, dtype=np.complex128))
     if spec.parts is not None:
         return convex_mix((w, to_density(s)) for w, s in spec.parts)
-    raise InputError(f"$: unknown spec kind {spec.kind!r}")
+    raise InputError(_NO_BODY)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +366,7 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
         values = [
             _parse_complex(a, f"{path}.pure.amplitudes[{i}]") for i, a in enumerate(amps)
         ]
-        spec = StateSpec(kind="pure", amplitudes=tuple(values))
+        spec = StateSpec(amplitudes=tuple(values))
         _at(f"{path}.pure.amplitudes", pure_state, spec.amplitudes)  # norm, at parse time
         return spec
 
@@ -400,7 +404,7 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
             w = _finite(w, f"{ppath}.weight")
             out.append((w, spec_from_obj(part["state"], f"{ppath}.state", depth + 1)))
         check_weights((w for w, _ in out), f"{path}.mix")
-        return StateSpec(kind="mix", parts=tuple(out))
+        return StateSpec(parts=tuple(out))
 
     body = obj["catalog"]
     if not isinstance(body, dict) or not {"name"} <= set(body) or not set(body) <= {"name", "params"}:
@@ -416,26 +420,17 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
 
 def spec_to_obj(spec: StateSpec):
     """JSON-ready form of a StateSpec; inverse of :func:`spec_from_obj`."""
-    if spec.kind == "pure":
-        return {
-            "pure": {
-                "amplitudes": [
-                    a.real if a.imag == 0.0 else [a.real, a.imag] for a in spec.amplitudes
-                ]
-            }
-        }
-    if spec.kind == "matrix":
+    if spec.name is not None:
+        return {"catalog": {"name": spec.name, "params": list(spec.params)}}
+    if spec.amplitudes is not None:
+        return {"pure": {"amplitudes": [a.real if a.imag == 0.0 else [a.real, a.imag]
+                                        for a in spec.amplitudes]}}
+    if spec.matrix is not None:
         m = np.asarray(spec.matrix)
         return {"matrix": {"re": m.real.tolist(), "im": m.imag.tolist()}}
-    if spec.kind == "mix":
-        return {
-            "mix": {
-                "parts": [
-                    {"weight": w, "state": spec_to_obj(s)} for w, s in spec.parts
-                ]
-            }
-        }
-    return {"catalog": {"name": spec.name, "params": list(spec.params)}}
+    if spec.parts is not None:
+        return {"mix": {"parts": [{"weight": w, "state": spec_to_obj(s)} for w, s in spec.parts]}}
+    raise InputError(_NO_BODY)
 
 
 def parse_state_file(text: str) -> StateSpec:

@@ -115,6 +115,18 @@ class TestClassify:
             again = classify(rho)
             assert again == first  # bit-for-bit, dataclass equality
 
+    def test_matrix_with_the_wrong_trace_is_rejected(self):
+        # every channel minimum of the identity is in range, so unchecked it
+        # would be called fully separable
+        with pytest.raises(InputError, match=r"^trace: trace 8.0$"):
+            classify(np.eye(8))
+
+    def test_matrix_with_a_negative_eigenvalue_is_rejected(self):
+        # unit trace; unchecked, its cut-A minimum falls below 0 and raises
+        # NumericalFailure, the class of an internal fault
+        with pytest.raises(InputError, match=r"^psd: minimum eigenvalue -8.750e-01$"):
+            classify(np.diag([1.125, -0.875] + [0.125] * 6))
+
     def test_eps_must_be_nonnegative(self):
         with pytest.raises(InputError, match=r"eps=-1.0 must be finite and >= 0"):
             classify(np.eye(8, dtype=complex) / 8.0, eps=-1.0)

@@ -463,6 +463,12 @@ class TestScanCommand:
         assert out == ""
         assert err.startswith("error: kye: a=nan is not finite")
 
+    def test_kye_at_the_top_of_the_double_range(self, capsys):
+        # 8 + 8a would overflow to inf here; the state is I/8 up to entries near 1e-308
+        assert run_cli(["scan", "kye", "--grid", "a=1e308"], capsys) == (
+            0, "a,lam_a,lam_b,lam_c,lam_max,verdict\n"
+               "1e+308,0.125,0.125,0.125,0.125,fully-separable\n", "")
+
     def test_numerical_failure_on_second_row_leaves_stdout_empty(self, capsys, monkeypatch):
         from spapt import cli
         from spapt.errors import NumericalFailure

@@ -215,10 +215,11 @@ class TestCatalog:
         with pytest.raises(InputError, match="unknown catalog state 'nope'"):
             catalog("nope")
 
-    @pytest.mark.parametrize("kind", ["catalog", "bogus"])
-    def test_spec_without_a_body_is_rejected(self, kind):
-        with pytest.raises(InputError, match=f"unknown spec kind '{kind}'"):
-            to_density(StateSpec(kind=kind, name="ghz", params=(0.6, 0.8)))
+    def test_spec_without_a_body_is_rejected(self):
+        with pytest.raises(InputError, match="^ghz: spec has no amplitudes, matrix or parts$"):
+            to_density(StateSpec(name="ghz", params=(0.6, 0.8)))
+        with pytest.raises(InputError, match="^spec has no amplitudes, matrix or parts$"):
+            spec_to_obj(StateSpec())
 
     def test_param_out_of_range(self):
         with pytest.raises(InputError, match=r"^b1: 1.5 outside \[0, 1\]"):
@@ -229,6 +230,26 @@ class TestCatalog:
             catalog("kye", -1.0)
         with pytest.raises(InputError, match="^ghz: squared norm 2.0 too far from 1"):
             catalog("ghz", 1.0, 1.0)  # squared norm 2 exceeds the slack
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("ghz", (1.0, 1.0), "ghz: squared norm 2.0 too far from 1"),
+        ("w", (1.0, 1.0, 0.0), "w: squared norm 2.0 too far from 1"),
+        ("wtilde", (0.5,), "wtilde: expected 0 parameter(s) (), got 1"),
+        ("g2", (0.5, 0.5), "g2: expected 0 parameter(s) (), got 2"),
+        ("g3", (0.5, 0.5, 0.5), "g3: squared norm 0.75 too far from 1"),
+        ("b2", (0.1, 0.2, 0.3), "b2: squared norm 0.14 too far from 1"),
+        ("ghz-w", (1.5,), "ghz-w: 1.5 outside [0, 1]"),
+        ("b1", (-0.25,), "b1: -0.25 outside [0, 1]"),
+        ("kye", (-1.0,), "kye: a=-1.0 must be >= 0"),
+        ("s2", (2.0,), "s2: 2.0 outside [0, 1]"),
+        ("s3", (1.0000001,), "s3: 1.0000001 outside [0, 1]"),
+        ("rho1", (-1e-9,), "rho1: -1e-09 outside [0, 1]"),
+        ("rho2", (0.7, 0.7), "rho2: q1+q2=1.4 exceeds 1"),
+    ])
+    def test_every_family_names_itself_in_its_build_error(self, name, params, message):
+        with pytest.raises(InputError) as info:
+            catalog(name, *params)
+        assert str(info.value) == message
 
     def test_table_row_parameters_renormalize(self):
         # (0.3, 0.4, 0.866) has squared norm 0.999956; the catalog takes it
@@ -428,9 +449,9 @@ CATALOG_SPECS = st.one_of(
 )
 rngs = st.builds(np.random.default_rng, st.integers(0, 2**32 - 1))
 LEAF_SPECS = st.one_of(
-    st.builds(lambda rng: StateSpec(kind="pure", amplitudes=tuple(
+    st.builds(lambda rng: StateSpec(amplitudes=tuple(
         complex(a) for a in random_pure(rng))), rngs),
-    st.builds(lambda rng: StateSpec(kind="matrix", matrix=tuple(
+    st.builds(lambda rng: StateSpec(matrix=tuple(
         tuple(row) for row in random_density(rng))), rngs),
     CATALOG_SPECS,
 )
@@ -440,7 +461,7 @@ def mixes_of(parts):
     """Mixtures of one to three ``parts`` with positive weights summing to one."""
     def mix(specs, raw):
         w = np.array(raw[:len(specs)])
-        return StateSpec(kind="mix", parts=tuple(
+        return StateSpec(parts=tuple(
             (float(x), s) for x, s in zip(w / w.sum(), specs)))
     return st.builds(mix, st.lists(parts, min_size=1, max_size=3),
                      st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
