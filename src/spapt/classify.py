@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, NumericalFailure
 from .ptranspose import QUBITS
-from .spa import CANONICAL_WEIGHT, THRESHOLD, spa_pt
+from .spa import THRESHOLD, spa_pt
 from .linalg import min_eigenvalue
 from .states import as_density_matrix
 
@@ -68,16 +68,6 @@ class Verdict:
         return self.kind + (":" + "+".join(self.cuts) if self.kind == BISEPARABLE else "")
 
 
-def check_eps(eps: float) -> None:
-    """Raise :class:`InputError` unless ``eps`` is finite and >= 0.
-
-    NaN would fail every threshold comparison and infinity pass every one,
-    so either would decide the verdict instead of the state.
-    """
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise InputError(f"eps={eps!r} must be finite and >= 0")
-
-
 def channel_minima(rho) -> dict[str, float]:
     """Smallest eigenvalue of the canonical channel output, per cut.
 
@@ -87,7 +77,7 @@ def channel_minima(rho) -> dict[str, float]:
     [0, 0.3]; one outside it (beyond ``_LAM_SLACK``) raises
     :class:`NumericalFailure`.
     """
-    minima = {q: min_eigenvalue(spa_pt(rho, q, CANONICAL_WEIGHT)) for q in QUBITS}
+    minima = {q: min_eigenvalue(spa_pt(rho, q)) for q in QUBITS}
     for q, lam in minima.items():
         if not -_LAM_SLACK <= lam <= 0.3 + _LAM_SLACK:
             raise NumericalFailure(f"channel minimum of cut {q}, {lam!r}, outside [0.0, 0.3]")
@@ -98,9 +88,13 @@ def cut_passes(lam: float, eps: float) -> bool:
     """True when the channel minimum ``lam`` of a cut reaches 1/10 within ``eps``.
 
     Passing is only consistent with separability across the cut; failing
-    certifies entanglement across it.
+    certifies entanglement across it. An ``eps`` that is not finite and >= 0
+    raises :class:`InputError`.
     """
-    check_eps(eps)
+    # NaN would fail every threshold comparison and infinity pass every one,
+    # so either would decide the verdict instead of the state
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise InputError(f"eps={eps!r} must be finite and >= 0")
     return lam >= THRESHOLD - eps
 
 

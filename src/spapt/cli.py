@@ -103,14 +103,14 @@ def _pretty_report(report: dict, out) -> None:
 
 
 def cmd_classify(args, out) -> int:
-    if args.state_file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.state_file == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
             with open(args.state_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"$: cannot read {args.state_file}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"$: cannot read {args.state_file}: {exc}") from exc
     spec = parse_state_file(text)
     report = build_report(spec, args.eps, args.tangle)
     if args.pretty:

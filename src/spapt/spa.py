@@ -9,7 +9,10 @@ Because the identity commutes with everything, the output spectrum is the
 affine image ``p/8 + (1-p) * mu`` of the partial-transpose spectrum. At the
 canonical weight ``p = 4/5`` the PPT test "PT_q(rho) is PSD" becomes
 "min eigenvalue of the channel output >= 1/10", which is the threshold used
-by :mod:`spapt.classify`.
+by :mod:`spapt.classify`. The channel is built at that weight only:
+:func:`spa_pt` takes no weight, and :func:`choi_matrix` is the bare
+(``p = 0``) Choi operator. Any other weight's spectrum follows from these by
+the affine law.
 
 Two different weights matter and are deliberately kept apart:
 
@@ -37,40 +40,30 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import min_eigenvalue
-from .errors import InputError
 from .ptranspose import partial_transpose, qubit_index, transpose_bits
-from .states import PSD_TOL
 
 CANONICAL_WEIGHT = 4.0 / 5.0
 THRESHOLD = CANONICAL_WEIGHT / 8.0  # 1/10
 
 
-def _check_weight(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"mixing weight p={p!r} outside [0, 1]")
-    return p
+def spa_pt(rho: np.ndarray, q: str) -> np.ndarray:
+    """Channel output ``(p/8) I + (1-p) PT_q(rho)`` at ``p = CANONICAL_WEIGHT``."""
+    pt = partial_transpose(rho, q)
+    return THRESHOLD * np.eye(8, dtype=np.complex128) + (1.0 - CANONICAL_WEIGHT) * pt
 
 
-def spa_pt(rho: np.ndarray, q: str, p: float) -> np.ndarray:
-    """Channel output ``(p/8) I + (1-p) PT_q(rho)``."""
-    p = _check_weight(p)
-    return (p / 8.0) * np.eye(8, dtype=np.complex128) + (1.0 - p) * partial_transpose(rho, q)
+def choi_matrix(q: str) -> np.ndarray:
+    """Choi operator ``C0`` of bare partial transposition on cut ``q``.
 
-
-def choi_matrix(q: str, p: float) -> np.ndarray:
-    """Choi operator of the channel at weight ``p``.
-
-    Applies the channel to the second half of the maximally entangled
-     8 x 8 pair state (amplitudes 1/sqrt(8)), giving a Hermitian unit-trace
-    64x64 operator whose spectrum decides complete positivity.
+    Transposes qubit ``q`` of the second half of the maximally entangled
+    8 x 8 pair state (amplitudes 1/sqrt(8)), giving a Hermitian unit-trace
+    64x64 operator. The channel's Choi operator at weight ``p`` is
+    ``p I/64 + (1-p) C0``, so its spectrum follows from this one.
     """
-    p = _check_weight(p)
     bit = qubit_index(q)
     psi = np.eye(8, dtype=np.complex128).reshape(-1) / np.sqrt(8.0)
     phi = np.outer(psi, psi.conj())
-    pt_choi = transpose_bits(phi, 6, 3 + bit)
-    return p * np.eye(64, dtype=np.complex128) / 64.0 + (1.0 - p) * pt_choi
+    return transpose_bits(phi, 6, 3 + bit)
 
 
 def worst_case_pt_min(q: str) -> float:
@@ -95,9 +88,7 @@ def worst_case_pt_min(q: str) -> float:
 
 
 def _psd_weight(mu: float, dim: int) -> float:
-    """Smallest ``p`` with ``p/dim + (1-p)*mu >= 0``; 0 when ``mu >= -PSD_TOL``."""
-    if mu >= -PSD_TOL:
-        return 0.0
+    """Smallest ``p`` with ``p/dim + (1-p)*mu >= 0``, for ``mu < 0``."""
     return -dim * mu / (1.0 - dim * mu)
 
 
@@ -116,8 +107,8 @@ def min_choi_psd_parameter(q: str) -> float:
     """Smallest weight at which the Choi operator itself is PSD (32/33).
 
     The Choi operator at weight ``p`` is ``p I/64 + (1-p) C0`` with
-    ``C0 = choi_matrix(q, 0)``, so its minimum is ``p/64 + (1-p) * mu_c``
+    ``C0 = choi_matrix(q)``, so its minimum is ``p/64 + (1-p) * mu_c``
     for ``mu_c`` the minimum of ``C0`` (-1/2), which is zero at
     ``p = -64 mu_c / (1 - 64 mu_c)``.
     """
-    return _psd_weight(min_eigenvalue(choi_matrix(q, 0.0)), 64)
+    return _psd_weight(min_eigenvalue(choi_matrix(q)), 64)

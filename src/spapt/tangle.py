@@ -14,7 +14,7 @@ used as an independent oracle in the tests).
 
 from __future__ import annotations
 
-from .classify import GENUINE, classify
+from .classify import GENUINE, channel_minima, decide_minima
 from .states import density_from_pure, pure_state
 
 TAU_TOL = 1e-8
@@ -47,10 +47,11 @@ def three_tangle_pure(psi) -> float:
 def pure_subclass(psi) -> str:
     """Sort a pure state into ghz-class, w-class, or not-genuine.
 
-    Genuineness comes from :func:`spapt.classify.classify` at its default
-    ``eps``; among genuine states, a positive tangle (above ``TAU_TOL``)
-    marks the GHZ class and a vanishing tangle the W class.
+    Genuineness comes from :func:`spapt.classify.decide_minima` at its
+    default ``eps``, on the projector of the validated amplitudes (so no PSD
+    check is run on it); among genuine states, a positive tangle (above
+    ``TAU_TOL``) marks the GHZ class and a vanishing tangle the W class.
     """
-    if classify(density_from_pure(psi)).kind != GENUINE:
+    if decide_minima(channel_minima(density_from_pure(psi))).kind != GENUINE:
         return NOT_GENUINE
     return GHZ_CLASS if three_tangle_pure(psi) > TAU_TOL else W_CLASS

@@ -157,8 +157,8 @@ def spa_element_map(rho: np.ndarray) -> np.ndarray:
     entries (diagonal gets 1/10 + t/5, the a=0/a'=1 corner pulls conjugated
     entries from the mirrored positions, everything else is t/5), then fills
     the lower triangle by Hermiticity. Must agree entrywise with
-    ``spa_pt(rho, 'A', CANONICAL_WEIGHT)``; the two routes cross-check the
-    transposition indexing.
+    ``spa_pt(rho, 'A')``; the two routes cross-check the transposition
+    indexing.
     """
     t = np.asarray(rho, dtype=np.complex128)
     if t.shape != (8, 8):

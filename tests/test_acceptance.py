@@ -10,7 +10,6 @@ import pytest
 
 from spapt import (
     BISEPARABLE,
-    CANONICAL_WEIGHT,
     FULLY_SEPARABLE,
     GENUINE,
     GHZ_CLASS,
@@ -104,9 +103,7 @@ def test_criterion_4_element_map_equivalence():
     rng = np.random.default_rng(214)
     for _ in range(100):
         rho = random_density(rng)
-        np.testing.assert_allclose(
-            spa_element_map(rho), spa_pt(rho, "A", CANONICAL_WEIGHT), atol=1e-15
-        )
+        np.testing.assert_allclose(spa_element_map(rho), spa_pt(rho, "A"), atol=1e-15)
     _passed("criterion 4: element map equals canonical channel on 100 states at 1e-15")
 
 
@@ -116,7 +113,7 @@ def test_criterion_5_affine_and_threshold_equivalence():
         rho = random_state_mixed_or_pure(rng)
         npt_cuts = 0
         for q in "ABC":
-            lam = min_eigenvalue(spa_pt(rho, q, CANONICAL_WEIGHT))
+            lam = min_eigenvalue(spa_pt(rho, q))
             mu = min_eigenvalue(partial_transpose(rho, q))
             assert abs(lam - (0.1 + 0.2 * mu)) <= 1e-12
             npt_cuts += mu < -1e-10

@@ -174,6 +174,16 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith(f"error: $: cannot read {path}: ")
 
+    def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch):
+        # decoded as UTF-8 whatever the locale, like a file
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(["classify", "-"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: $: cannot read -: ")
+        assert err.count("\n") == 1
+
     def test_rounded_catalog_parameters_accepted(self, tmp_path, capsys):
         path = write_state(tmp_path, {"catalog": {"name": "ghz", "params": [0.7071, 0.7071]}})
         code, out, _ = run_cli(["classify", path], capsys)
@@ -529,7 +539,7 @@ def test_threshold_exact_states_get_one_label_on_every_path(capsys, family, grid
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     doc = json.dumps({"catalog": {"name": "s3", "params": [0.5]}})
-    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc.encode("utf-8"))))
     code, out, _ = run_cli(["classify", "-"], capsys)
     assert code == 0
     assert json.loads(out)["verdict"]["kind"] == "fully-separable"

@@ -156,8 +156,8 @@ MAXIMALLY_MIXED = np.eye(8, dtype=complex) / 8.0
 
 @pytest.mark.parametrize("call, message", [
     (lambda: partial_transpose(MAXIMALLY_MIXED, "D"), "qubit label must be one of"),
-    (lambda: spa_pt(MAXIMALLY_MIXED, "D", 0.8), "qubit label must be one of"),
-    (lambda: choi_matrix("D", 0.8), "qubit label must be one of"),
+    (lambda: spa_pt(MAXIMALLY_MIXED, "D"), "qubit label must be one of"),
+    (lambda: choi_matrix("D"), "qubit label must be one of"),
     (lambda: min_cp_parameter("D"), "qubit label must be one of"),
     (lambda: partial_transpose(np.eye(4) / 4.0, "A"), r"expected an 8x8 matrix, got \(4, 4\)"),
     (lambda: ket("012"), "bad basis label '012'"),

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spapt import (
-    CANONICAL_WEIGHT,
     catalog,
     choi_matrix,
     density_from_pure,
@@ -19,7 +18,6 @@ from spapt import (
     spa_pt,
     to_density,
 )
-from spapt.errors import InputError
 from spapt.spa import worst_case_pt_min
 from support import (
     random_density,
@@ -52,28 +50,18 @@ def choi_oracle(bit: int, p: float) -> np.ndarray:
 
 
 class TestChannel:
-    def test_pure_depolarizing_limit(self):
-        rho = random_density(np.random.default_rng(41))
-        for q in "ABC":
-            np.testing.assert_allclose(spa_pt(rho, q, 1.0), MM, atol=1e-15)
-
-    def test_zero_weight_is_plain_partial_transpose(self):
-        rho = random_density(np.random.default_rng(42))
-        for q in "ABC":
-            np.testing.assert_array_equal(spa_pt(rho, q, 0.0), partial_transpose(rho, q))
-
     def test_balanced_ghz_sits_on_the_psd_boundary(self):
         rho = density_from_pure((ket("000") + ket("111")) * INV2)
-        assert min_eigenvalue(spa_pt(rho, "A", 0.8)) == pytest.approx(0.0, abs=1e-12)
+        assert min_eigenvalue(spa_pt(rho, "A")) == pytest.approx(0.0, abs=1e-12)
 
     def test_canonical_fixes_maximally_mixed(self):
-        got = spa_pt(MM, "B", CANONICAL_WEIGHT)
+        got = spa_pt(MM, "B")
         np.testing.assert_allclose(got, MM, atol=1e-15)
 
     def test_g2_minima(self):
         rho = to_density(catalog("g2"))
-        lam_a = min_eigenvalue(spa_pt(rho, "A", CANONICAL_WEIGHT))
-        lam_b = min_eigenvalue(spa_pt(rho, "B", CANONICAL_WEIGHT))
+        lam_a = min_eigenvalue(spa_pt(rho, "A"))
+        lam_b = min_eigenvalue(spa_pt(rho, "B"))
         assert lam_a == pytest.approx(0.030718, abs=1e-5)
         assert lam_b == pytest.approx(0.0434315, abs=1e-5)
         # exact closed forms behind the printed digits
@@ -85,38 +73,33 @@ class TestChannel:
             rho = to_density(catalog("kye", a))
             expected = (2 + 5 * a) / (40 * (1 + a))
             for q in "ABC":
-                assert min_eigenvalue(spa_pt(rho, q, CANONICAL_WEIGHT)) == pytest.approx(
+                assert min_eigenvalue(spa_pt(rho, q)) == pytest.approx(
                     expected, abs=1e-12
                 )
 
-    def test_weight_out_of_range(self):
-        with pytest.raises(InputError, match=r"mixing weight p=1.2 outside \[0, 1\]"):
-            spa_pt(MM, "A", 1.2)
-
     def test_trace_preserved_for_all_weights(self):
+        # the output trace at weight p is p + (1-p) tr PT_q(rho), so a unit
+        # partial-transpose trace makes every weight trace-preserving
         rho = random_density(np.random.default_rng(43))
-        for p in (0.0, 0.3, 0.8, 1.0):
-            for q in "ABC":
-                assert abs(np.trace(spa_pt(rho, q, p)).real - 1.0) <= 1e-12
+        for q in "ABC":
+            assert abs(np.trace(partial_transpose(rho, q)).real - 1.0) <= 1e-12
+            assert abs(np.trace(spa_pt(rho, q)).real - 1.0) <= 1e-12
 
     def test_affine_spectrum_law(self):
         rng = np.random.default_rng(44)
         for _ in range(100):
             rho = random_state_mixed_or_pure(rng)
-            for p in (0.0, 0.3, 0.8, 1.0):
-                for q in "ABC":
-                    got = hermitian_eigenvalues(spa_pt(rho, q, p))
-                    base = hermitian_eigenvalues(partial_transpose(rho, q))
-                    np.testing.assert_allclose(
-                        got, np.sort(p / 8.0 + (1 - p) * base), atol=1e-12
-                    )
+            for q in "ABC":
+                got = hermitian_eigenvalues(spa_pt(rho, q))
+                base = hermitian_eigenvalues(partial_transpose(rho, q))
+                np.testing.assert_allclose(got, np.sort(0.8 / 8.0 + 0.2 * base), atol=1e-12)
 
     def test_threshold_equivalence_and_psd_certification(self):
         rng = np.random.default_rng(45)
         for _ in range(100):
             rho = random_state_mixed_or_pure(rng)
             for q in "ABC":
-                out = spa_pt(rho, q, CANONICAL_WEIGHT)
+                out = spa_pt(rho, q)
                 lam = min_eigenvalue(out)
                 assert lam >= -1e-10  # canonical outputs stay PSD
                 mu = min_eigenvalue(partial_transpose(rho, q))
@@ -133,43 +116,33 @@ class TestElementMap:
         out = spa_element_map(rho)
         # row 4, column 5 (1-based) receives the conjugate of entry (1, 8)
         assert out[3, 4] == pytest.approx(np.conj(rho[0, 7]) / 5.0)
-        np.testing.assert_allclose(out, spa_pt(rho, "A", CANONICAL_WEIGHT), atol=1e-15)
+        np.testing.assert_allclose(out, spa_pt(rho, "A"), atol=1e-15)
 
     def test_matches_canonical_channel_entrywise(self):
         rng = np.random.default_rng(46)
         for _ in range(30):
             rho = random_density(rng)
-            np.testing.assert_allclose(
-                spa_element_map(rho), spa_pt(rho, "A", CANONICAL_WEIGHT), atol=1e-15
-            )
+            np.testing.assert_allclose(spa_element_map(rho), spa_pt(rho, "A"), atol=1e-15)
 
 
 class TestChoi:
     def test_hermitian_unit_trace(self):
-        c = choi_matrix("A", 0.37)
+        c = choi_matrix("A")
         assert abs(np.trace(c).real - 1.0) <= 1e-12
         assert np.max(np.abs(c - c.conj().T)) <= 1e-14
 
-    def test_full_depolarizing_choi(self):
-        c = choi_matrix("B", 1.0)
-        np.testing.assert_allclose(c, np.eye(64) / 64.0, atol=1e-15)
-        assert min_eigenvalue(c) == pytest.approx(1 / 64, abs=1e-12)
-
     def test_bare_transposition_choi_is_indefinite(self):
         for q, bit in (("A", 0), ("B", 1), ("C", 2)):
-            c = choi_matrix(q, 0.0)
+            c = choi_matrix(q)
             np.testing.assert_allclose(c, choi_oracle(bit, 0.0), atol=1e-14)
             lam = min_eigenvalue(c)
             assert lam < 0
             assert lam == pytest.approx(-0.5, abs=1e-12)
 
-    def test_matches_unit_column_oracle_at_interior_weight(self):
-        np.testing.assert_allclose(choi_matrix("C", 0.55), choi_oracle(2, 0.55), atol=1e-14)
-
     def test_canonical_weight_choi_value(self):
         # 0.8/64 - 0.2/2: outputs on states are PSD from 4/5 on, the Choi
         # operator itself is not yet
-        assert min_eigenvalue(choi_matrix("A", 0.8)) == pytest.approx(-0.0875, abs=1e-12)
+        assert min_eigenvalue(choi_oracle(0, 0.8)) == pytest.approx(-0.0875, abs=1e-12)
 
     @pytest.mark.xfail(
         strict=True,
@@ -178,15 +151,15 @@ class TestChoi:
         "input states turn PSD",
     )
     def test_reported_choi_psd_boundary_at_canonical_weight(self):
-        assert min_eigenvalue(choi_matrix("A", 0.8)) == pytest.approx(0.0, abs=1e-10)
+        assert min_eigenvalue(choi_oracle(0, 0.8)) == pytest.approx(0.0, abs=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
 @given(p=st.floats(min_value=0.0, max_value=1.0), q=st.sampled_from("ABC"))
 def test_choi_minimum_is_affine_in_the_weight(p, q):
     # the law both closed-form weights rest on
-    expected = p / 64.0 + (1.0 - p) * min_eigenvalue(choi_matrix(q, 0.0))
-    assert min_eigenvalue(choi_matrix(q, p)) == pytest.approx(expected, abs=1e-12)
+    expected = p / 64.0 + (1.0 - p) * min_eigenvalue(choi_matrix(q))
+    assert min_eigenvalue(choi_oracle("ABC".index(q), p)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestThresholds:
@@ -212,8 +185,9 @@ class TestThresholds:
         assert min_cp_parameter(q) == pytest.approx(4 / 5, abs=1e-12)
         p_star = min_choi_psd_parameter(q)
         assert p_star == pytest.approx(32 / 33, abs=1e-12)
-        assert min_eigenvalue(choi_matrix(q, p_star)) >= -1e-12
-        assert min_eigenvalue(choi_matrix(q, p_star - 1e-6)) < -1e-10
+        bit = "ABC".index(q)
+        assert min_eigenvalue(choi_oracle(bit, p_star)) >= -1e-12
+        assert min_eigenvalue(choi_oracle(bit, p_star - 1e-6)) < -1e-10
 
 
 
@@ -221,7 +195,7 @@ def test_pure_input_worst_case_saturates_bound():
     # no pure state drives the canonical output below zero
     rng = np.random.default_rng(47)
     worst = min(
-        min_eigenvalue(spa_pt(np.outer(p, p.conj()), q, CANONICAL_WEIGHT))
+        min_eigenvalue(spa_pt(np.outer(p, p.conj()), q))
         for p in (random_pure(rng) for _ in range(25))
         for q in "ABC"
     )

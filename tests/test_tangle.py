@@ -17,6 +17,7 @@ from spapt import (
     pure_subclass,
     three_tangle_pure,
 )
+from spapt import linalg
 from spapt.errors import InputError
 from support import ckw_residual_tangle, placed_bell, product_state, random_pure, random_qubit
 
@@ -140,3 +141,16 @@ class TestSubclass:
     def test_generic_states_split_by_tangle(self):
         # the five-term superposition has positive tangle, so lands ghz-class
         assert pure_subclass(pure_amplitudes(catalog("g2"))) == GHZ_CLASS
+
+    def test_runs_one_solve_per_cut(self, monkeypatch):
+        # the projector of validated amplitudes needs no PSD check of its own
+        calls = []
+        solve = linalg.hermitian_eigenvalues
+
+        def counting(m):
+            calls.append(m.shape)
+            return solve(m)
+
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", counting)
+        assert pure_subclass(pure_amplitudes(catalog("ghz", INV2, INV2))) == GHZ_CLASS
+        assert calls == [(8, 8)] * 3
