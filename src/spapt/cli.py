@@ -43,8 +43,13 @@ from .tangle import three_tangle_pure
 
 
 def _fmt(x: float) -> str:
-    """Shortest decimal form within 12 significant digits (CSV cells)."""
+    """Shortest decimal form within 12 significant digits (parameters, references)."""
     return f"{float(x):.12g}"
+
+
+def _fmt_computed(x: float) -> str:
+    """``_fmt`` of a computed number rounded to 1e-12 (``+ 0.0`` folds -0.0)."""
+    return f"{round(float(x), 12) + 0.0:.12g}"
 
 
 def _csv_line(cells) -> str:
@@ -53,7 +58,7 @@ def _csv_line(cells) -> str:
 
 def _minima_cells(minima: dict[str, float]) -> list[str]:
     """CSV cells lam_a, lam_b, lam_c, lam_max."""
-    return [_fmt(minima[q]) for q in QUBITS] + [_fmt(max(minima.values()))]
+    return [_fmt_computed(minima[q]) for q in QUBITS] + [_fmt_computed(max(minima.values()))]
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +96,15 @@ def build_report(spec, eps: float = DEFAULT_EPS, want_tangle: bool = False) -> d
 def _pretty_report(report: dict, out) -> None:
     out.write(f"weight p = {_fmt(report['p'])}, threshold = {_fmt(report['threshold'])}\n")
     for q, spectrum in report["pt_spectra"].items():
-        out.write(f"PT spectrum {q}: " + " ".join(_fmt(x) for x in spectrum) + "\n")
+        out.write(f"PT spectrum {q}: " + " ".join(_fmt_computed(x) for x in spectrum) + "\n")
     for q, lam in report["spa_min"].items():
-        out.write(f"channel minimum {q}: {_fmt(lam)}\n")
+        out.write(f"channel minimum {q}: {_fmt_computed(lam)}\n")
     v = report["verdict"]
     cuts = f" [{', '.join(v['cuts'])}]" if v["cuts"] else ""
-    out.write(f"verdict: {v['kind']}{cuts} (margin {_fmt(v['margin'])})\n")
+    out.write(f"verdict: {v['kind']}{cuts} (margin {_fmt_computed(v['margin'])})\n")
     out.write("note: separability verdicts are necessary-condition based\n")
     if report["tangle"] is not None:
-        out.write(f"three-tangle: {_fmt(report['tangle'])}\n")
+        out.write(f"three-tangle: {_fmt_computed(report['tangle'])}\n")
 
 
 def cmd_classify(args, out) -> int:
@@ -194,7 +199,7 @@ def _reproduce_table(rows, family, pair_cuts, pair_label, other_label, out) -> N
             [_fmt(params[0]), _fmt(params[1]), _fmt(params[2]),
              "yes" if abs(norm2 - 1.0) > 1e-10 else "no",
              *_minima_cells(minima),
-             _fmt(ref_pair), _fmt(ref_other), _fmt(ref_max), _fmt(max(deltas)),
+             _fmt(ref_pair), _fmt(ref_other), _fmt(ref_max), _fmt_computed(max(deltas)),
              decide_minima(minima).label]
         ))
 
@@ -213,7 +218,7 @@ def cmd_reproduce(args, out) -> int:
             minima = channel_minima(to_density(catalog(family, *params)))
             out.write(_csv_line(
                 [label, ";".join(_fmt(p) for p in params), *_minima_cells(minima),
-                 _fmt(ref_max), _fmt(max(minima.values()) - ref_max),
+                 _fmt(ref_max), _fmt_computed(max(minima.values()) - ref_max),
                  decide_minima(minima).label]
             ))
     return 0
@@ -283,7 +288,7 @@ def cmd_scan(args, out) -> int:
             psi = pure_amplitudes(spec)
             if psi is None:
                 raise InputError(f"--tangle requires a pure family, {family} is mixed")
-            cells.append(_fmt(three_tangle_pure(psi)))
+            cells.append(_fmt_computed(three_tangle_pure(psi)))
         out.write(_csv_line(cells))
     return 0
 

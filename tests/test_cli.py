@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from spapt import Verdict, catalog, classify, parse_state_file, states, to_density
+from spapt import Verdict, catalog, classify, cli, parse_state_file, states, to_density
 from spapt.cli import build_report, main
 from spapt.states import MAX_MIX_DEPTH
 
@@ -358,6 +358,21 @@ class TestReproduceCommand:
             assert code == 0
             assert out == (DATA / name).read_text(encoding="utf-8"), name
 
+    @pytest.mark.parametrize("x, cell", [(-1e-17, "0"), (0.1 - 3e-17, "0.1"), (4.8e-15, "0")])
+    def test_computed_cells_print_at_1e12_resolution(self, x, cell):
+        # solver noise below 1e-12 prints as nothing, -0.0 included
+        assert cli._fmt_computed(x) == cell
+
+    def test_table1_noise_cells_print_zero(self, capsys):
+        # row 1's cut-B and cut-C minima are about 4.8e-15 of rounding
+        _, out, _ = run_cli(["reproduce", "table1"], capsys)
+        assert out.split("\n")[1].split(",")[5:7] == ["0", "0"]
+
+    def test_parameter_cells_print_as_given(self, capsys):
+        code, out, _ = run_cli(["scan", "ghz-w", "--grid", "q=1e-15"], capsys)
+        assert code == 0
+        assert out.split("\n")[1].split(",")[0] == "1e-15"
+
 
 class TestScanCommand:
     def test_rho1_endpoints(self, capsys):
@@ -399,8 +414,6 @@ class TestScanCommand:
     ], ids=["one-count", "product"])
     def test_grid_over_the_row_cap_exits_2(self, capsys, monkeypatch, grids):
         # rejected before any linspace over the cap and before any row
-        from spapt import cli
-
         real = np.linspace
 
         def small_linspace(lo, hi, count):
@@ -480,7 +493,6 @@ class TestScanCommand:
                "1e+308,0.125,0.125,0.125,0.125,fully-separable\n", "")
 
     def test_numerical_failure_on_second_row_leaves_stdout_empty(self, capsys, monkeypatch):
-        from spapt import cli
         from spapt.errors import NumericalFailure
 
         real, calls = cli.to_density, []
