@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, NumericalFailure
-from .ptranspose import QUBITS
-from .spa import THRESHOLD, spa_pt
+from .ptranspose import QUBITS, partial_transpose
+from .spa import CANONICAL_WEIGHT, THRESHOLD
 from .linalg import min_eigenvalue
 from .states import as_density_matrix
 
@@ -69,15 +69,15 @@ class Verdict:
 
 
 def channel_minima(rho) -> dict[str, float]:
-    """Smallest eigenvalue of the canonical channel output, per cut.
+    """Smallest eigenvalue of the canonical channel output per cut, computed by the
+    affine law as ``1/10 + mu/5`` from the cut's partial-transpose minimum ``mu``.
 
-    A numeric function of any Hermitian 8x8 ``rho``, which it does not check
-    to be a state (:func:`classify` does). A state's partial-transpose
-    spectrum lies in [-1/2, 1], so by the affine law each minimum lies in
-    [0, 0.3]; one outside it (beyond ``_LAM_SLACK``) raises
-    :class:`NumericalFailure`.
+    A numeric function of any Hermitian 8x8 ``rho``; :func:`classify` checks it is
+    a state. A state's ``mu`` lies in [-1/2, 1], so each minimum lies in [0, 0.3];
+    one outside it (beyond ``_LAM_SLACK``) raises :class:`NumericalFailure`.
     """
-    minima = {q: min_eigenvalue(spa_pt(rho, q)) for q in QUBITS}
+    minima = {q: THRESHOLD + (1.0 - CANONICAL_WEIGHT) * min_eigenvalue(partial_transpose(rho, q))
+              for q in QUBITS}
     for q, lam in minima.items():
         if not -_LAM_SLACK <= lam <= 0.3 + _LAM_SLACK:
             raise NumericalFailure(f"channel minimum of cut {q}, {lam!r}, outside [0.0, 0.3]")

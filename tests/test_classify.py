@@ -67,15 +67,17 @@ class TestSpectralSummary:
             assert lam == pytest.approx(0.0, abs=1e-12)
 
     def test_bounds_enforced(self, monkeypatch):
-        # a density matrix's minima lie in [0.1 - 0.2/2, 0.1 + 0.2] = [0, 0.3];
-        # within 1e-10 of either end is accepted, beyond it is a failure
+        # a density matrix's partial-transpose minimum mu lies in [-1/2, 1], so its
+        # channel minimum 0.1 + 0.2*mu lies in [0, 0.3]; within 1e-10 of either end
+        # is accepted, beyond it is a failure
         mm = np.eye(8, dtype=complex) / 8.0
         lo, hi = 0.0, 0.3
         for lam, ok in ((lo - 5e-11, True), (hi + 5e-11, True),
                         (lo - 1e-9, False), (hi + 1e-9, False)):
-            monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: lam)
+            mu = (lam - 0.1) / 0.2
+            monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: mu)
             if ok:
-                assert channel_minima(mm)["A"] == lam
+                assert channel_minima(mm)["A"] == pytest.approx(lam, abs=1e-15)
             else:
                 bounds = f"outside \\[{lo}, {hi}\\]"
                 with pytest.raises(NumericalFailure, match=f"cut A, .* {bounds}"):

@@ -22,6 +22,9 @@ GOLDEN_OUTPUTS = {
     "scan_rho2.csv": ["scan", "rho2", "--grid", "q1=0:0.5:11", "--grid", "q2=0:0.5:11"],
 }
 CLASSIFY_MODULE = importlib.import_module("spapt.classify")
+# a partial-transpose minimum of 2.0 gives the channel minimum 0.1 + 0.2*2.0, which
+# is 0.4999999999999999 in doubles because 1 - 4/5 rounds below 0.2
+OUT_OF_RANGE = "numerical failure: channel minimum of cut A, 0.4999999999999999, outside"
 
 
 def run_cli(argv, capsys):
@@ -305,13 +308,14 @@ class TestClassifyCommand:
         assert err == f"error: {where}: mix nested more than {MAX_MIX_DEPTH} levels deep\n"
 
     def test_channel_minimum_out_of_range_exits_1(self, tmp_path, capsys, monkeypatch):
-        # no density matrix gives a canonical minimum above 0.3
-        monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: 0.5)
+        # no density matrix has a partial-transpose minimum above 1, so none has a
+        # canonical minimum 0.1 + 0.2*mu above 0.3
+        monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: 2.0)
         path = write_state(tmp_path, {"catalog": {"name": "kye", "params": [4]}})
         code, out, err = run_cli(["classify", path], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("numerical failure: channel minimum of cut A, 0.5, outside")
+        assert err.startswith(OUT_OF_RANGE)
 
 
 def nested_mix(depth: int) -> str:
@@ -510,11 +514,11 @@ class TestScanCommand:
         assert err.startswith("numerical failure: synthetic")
 
     def test_channel_minimum_out_of_range_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: 0.5)
+        monkeypatch.setattr(CLASSIFY_MODULE, "min_eigenvalue", lambda m: 2.0)
         code, out, err = run_cli(["scan", "ghz-w", "--grid", "q=0.5"], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("numerical failure: channel minimum of cut A, 0.5, outside")
+        assert err.startswith(OUT_OF_RANGE)
 
     def test_deterministic_row_order(self, capsys):
         _, first, _ = run_cli(
