@@ -148,6 +148,36 @@ class TestClassify:
                 call()
 
 
+# ghz-w, q GHZ + (1-q) W, is in the W class for q <= Q0 and in the GHZ class
+# above (Lohmayer, Osterloh, Siewert & Uhlmann, PRL 97, 260502 (2006))
+Q0 = 4 * 2 ** (1 / 3) / (3 + 4 * 2 ** (1 / 3))
+
+
+class TestMixedSloccBoundary:
+    """The three cuts do not see the SLOCC class change of the ghz-w family."""
+
+    @pytest.mark.parametrize("q, lam", [(0.6, 0.051870), (Q0, 0.048531), (0.65, 0.045628)],
+                             ids=["w-class", "q0", "ghz-class"])
+    def test_same_minima_and_label_on_both_sides(self, q, lam):
+        minima = channel_minima(to_density(catalog("ghz-w", q)))
+        for cut in "ABC":
+            assert minima[cut] == pytest.approx(lam, abs=1e-6)
+        assert decide_minima(minima).label == GENUINE
+
+    def test_largest_minimum_is_not_at_the_boundary(self):
+        # on a 0.01 grid the minima peak at 0.47; the peak itself is near
+        # q = 0.4664, where two partial-transpose eigenvalue branches cross
+        qs = np.linspace(0.3, 0.7, 41)
+        lam = [channel_minima(to_density(catalog("ghz-w", q)))["A"] for q in qs]
+        top = qs[int(np.argmax(lam))]
+        assert top == pytest.approx(0.47)
+        assert Q0 - top > 0.15
+        peak = [channel_minima(to_density(catalog("ghz-w", q)))["A"]
+                for q in (0.4654, 0.4664, 0.4674)]
+        assert peak[1] == pytest.approx(0.067870, abs=1e-6)
+        assert peak[1] > max(peak[0], peak[2])
+
+
 class TestDecisionTable:
     def test_two_passing_cuts_reported_with_both(self):
         v = decide_minima({"A": 0.12, "B": 0.11, "C": 0.05})

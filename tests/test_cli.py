@@ -367,11 +367,6 @@ class TestReproduceCommand:
         # solver noise below 1e-12 prints as nothing, -0.0 included
         assert cli._fmt_computed(x) == cell
 
-    def test_table1_noise_cells_print_zero(self, capsys):
-        # row 1's cut-B and cut-C minima are about 4.8e-15 of rounding
-        _, out, _ = run_cli(["reproduce", "table1"], capsys)
-        assert out.split("\n")[1].split(",")[5:7] == ["0", "0"]
-
     def test_parameter_cells_print_as_given(self, capsys):
         code, out, _ = run_cli(["scan", "ghz-w", "--grid", "q=1e-15"], capsys)
         assert code == 0
