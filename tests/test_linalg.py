@@ -50,8 +50,23 @@ class TestHermitianEigenvalues:
 
     def test_matches_lapack_8x8(self):
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            h = random_hermitian(rng, 8)
+        inputs = [random_hermitian(rng, 8) for _ in range(25)]
+        # a rotation skips an entry pair only when both entries are zero, so
+        # inputs with exact zeros, permuted, must match too
+        for density in (0.2, 0.4, 0.6):
+            for _ in range(25):
+                h = random_hermitian(rng, 8)
+                zero = np.triu(rng.random((8, 8)) > density, 1)
+                h[zero | zero.T] = 0.0
+                perm = rng.permutation(8)
+                inputs.append(h[np.ix_(perm, perm)])
+        # arrowhead: rotating (0, q) meets row k with a[k, 0] != 0 and a[k, q] == 0
+        arrow = np.diag(np.arange(8.0)).astype(complex)
+        arrow[0, 1:] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        arrow[1:, 0] = arrow[0, 1:].conj()
+        perm = rng.permutation(8)
+        inputs += [arrow, arrow[np.ix_(perm, perm)]]
+        for h in inputs:
             np.testing.assert_allclose(
                 hermitian_eigenvalues(h), np.linalg.eigvalsh(h), atol=1e-12
             )
@@ -89,11 +104,17 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(m)
 
     def test_nan_trace_residual_fails_closed(self):
-        # h @ h overflows, so a residual is NaN, and NaN > bound is False
-        m = np.eye(8, dtype=complex) / 8.0
-        m[0, 1] = m[1, 0] = 1e160
-        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="trace residuals"):
-            hermitian_eigenvalues(m)
+        # h @ h overflows, or symmetrizing does, so a residual is NaN, and
+        # NaN > bound is False; the message names the residual that failed
+        for x, residual in [(1e160, "trace of square residual nan, bound inf"),
+                            (1e300, "trace of square residual nan, bound inf"),
+                            (1e308 + 1e308j, "trace residual nan, bound 1.000e-10")]:
+            m = np.eye(8, dtype=complex) / 8.0
+            m[0, 1], m[1, 0] = x, np.conj(x)
+            with np.errstate(all="ignore"), pytest.raises(
+                NumericalFailure, match=f"trace residuals out of bound: {residual}$"
+            ):
+                hermitian_eigenvalues(m)
 
     def test_trace_residuals(self):
         rng = np.random.default_rng(7)
