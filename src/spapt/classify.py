@@ -28,7 +28,7 @@ from .errors import InputError, NumericalFailure
 from .ptranspose import QUBITS, partial_transpose
 from .spa import CANONICAL_WEIGHT, THRESHOLD
 from .linalg import min_eigenvalue
-from .states import as_density_matrix
+from .states import STATE_TOL, as_density_matrix
 
 CUT_NAMES = {"A": "A-BC", "B": "B-AC", "C": "C-AB"}
 DEFAULT_EPS = 1e-9
@@ -36,8 +36,6 @@ DEFAULT_EPS = 1e-9
 GENUINE = "genuine-entangled"
 BISEPARABLE = "biseparable"
 FULLY_SEPARABLE = "fully-separable"
-
-_LAM_SLACK = 1e-10  # on the range of a channel minimum, see channel_minima
 
 
 @dataclass(frozen=True)
@@ -74,12 +72,12 @@ def channel_minima(rho) -> dict[str, float]:
 
     A numeric function of any Hermitian 8x8 ``rho``; :func:`classify` checks it is
     a state. A state's ``mu`` lies in [-1/2, 1], so each minimum lies in [0, 0.3];
-    one outside it (beyond ``_LAM_SLACK``) raises :class:`NumericalFailure`.
+    one outside it (beyond ``STATE_TOL``) raises :class:`NumericalFailure`.
     """
     minima = {q: THRESHOLD + (1.0 - CANONICAL_WEIGHT) * min_eigenvalue(partial_transpose(rho, q))
               for q in QUBITS}
     for q, lam in minima.items():
-        if not -_LAM_SLACK <= lam <= 0.3 + _LAM_SLACK:
+        if not -STATE_TOL <= lam <= 0.3 + STATE_TOL:
             raise NumericalFailure(f"channel minimum of cut {q}, {lam!r}, outside [0.0, 0.3]")
     return minima
 

@@ -31,6 +31,7 @@ from .linalg import hermitian_eigenvalues
 from .ptranspose import QUBITS, partial_transpose
 from .spa import CANONICAL_WEIGHT, THRESHOLD
 from .states import (
+    STATE_TOL,
     catalog,
     catalog_names,
     catalog_param_names,
@@ -197,7 +198,7 @@ def _reproduce_table(rows, family, pair_cuts, pair_label, other_label, out) -> N
         deltas.append(abs(max(minima.values()) - ref_max))
         out.write(_csv_line(
             [_fmt(params[0]), _fmt(params[1]), _fmt(params[2]),
-             "yes" if abs(norm2 - 1.0) > 1e-10 else "no",
+             "yes" if abs(norm2 - 1.0) > STATE_TOL else "no",
              *_minima_cells(minima),
              _fmt(ref_pair), _fmt(ref_other), _fmt(ref_max), _fmt_computed(max(deltas)),
              decide_minima(minima).label]

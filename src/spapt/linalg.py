@@ -12,6 +12,8 @@ Each rotation zeroes one off-diagonal pair (p, q) with the unitary
 
 where ``a[p, q] = m * exp(i*phi)`` and ``t = s/c`` is the smaller-magnitude
 root of ``t^2 - 2*tau*t - 1 = 0`` with ``tau = (a[q,q] - a[p,p]) / (2*m)``.
+Past ``|tau|`` of about 1.3e154, ``tau*tau`` is inf and t is +-0: the rotation
+then only zeroes an entry over 150 orders of magnitude below its diagonal gap.
 A rotation skips a pair of entries of columns or rows p, q only when both are
 zero (partial transposes are mostly zeros). Sweeps stop when the off-diagonal
 Frobenius norm, sqrt(2) times that of the strict upper triangle, drops below
@@ -39,7 +41,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of ``m`` from its conjugate transpose."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    return float(np.max(np.abs(m - dagger(m))))
 
 
 def _rotation(app: float, aqq: float, apq: complex):
@@ -47,9 +49,7 @@ def _rotation(app: float, aqq: float, apq: complex):
     m = abs(apq)
     phase = apq / m
     tau = float(aqq - app) / float(2.0 * m)  # Python floats: past the range, inf and no warning
-    if abs(tau) > 1e150:
-        t = -0.5 / tau  # sqrt(1 + tau^2) would overflow; asymptotic root
-    elif tau >= 0.0:
+    if tau >= 0.0:
         t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
     else:
         t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
@@ -93,21 +93,25 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     residuals; the input is symmetrized before the solve so the defect never
     biases the spectrum. The spectrum is verified against the first two trace
     moments (scaled by the second moment for large-norm inputs); a violation,
-    NaN included, raises :class:`NumericalFailure` (the sweeps did not converge).
+    NaN or an infinite bound included, raises :class:`NumericalFailure`. An empty
+    or non-finite input raises :class:`InputError`, naming its shape or entry.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise InputError(f"expected a non-empty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        i = int(np.flatnonzero(~np.isfinite(m))[0])
+        raise InputError(f"entry {divmod(i, len(m))} is {complex(m.flat[i])}, not finite")
     defect = hermiticity_defect(m)
     if not defect <= HERMITICITY_TOL:
         raise InputError(f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.3e}")
     h = (m + dagger(m)) / 2.0
     w = _jacobi_eigvalsh(h)
-    tr2 = float(np.trace(h @ h).real)
-    bound = HERMITICITY_TOL * max(1.0, abs(tr2))
+    tr2 = float(np.vdot(h, h).real)  # sum of |h_ij|^2, the trace of h @ h
+    bound = HERMITICITY_TOL * max(1.0, tr2)
     for name, residual in (("trace", float(np.trace(h).real) - w.sum()),
-                           ("trace of square", tr2 - (w ** 2).sum())):
-        if not abs(residual) <= bound:
+                           ("trace of square", tr2 - float(np.vdot(w, w)))):
+        if not abs(residual) <= bound < math.inf:
             raise NumericalFailure(f"eigenvalue sweeps left trace residuals out of bound: "
                                    f"{name} residual {residual:.3e}, bound {bound:.3e}")
     return w

@@ -17,12 +17,10 @@ import numpy as np
 from .errors import InputError
 from .linalg import dagger, hermiticity_defect, min_eigenvalue
 
-NORM_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
+STATE_TOL = 1e-10  # norm, weights, trace, PSD minimum; classify and cli reuse it
 RAW_HERM_TOL = 1e-8
 # Named catalog entries renormalize their amplitude parameters when the norm
-# is off by at most this much; direct "pure" input stays strict at NORM_TOL.
+# is off by at most this much; direct "pure" input stays strict at STATE_TOL.
 CATALOG_NORM_SLACK = 1e-3
 # Deepest accepted nesting of "mix" objects in a state document. A fixed limit,
 # so acceptance does not depend on how deep the caller's stack already is.
@@ -60,8 +58,8 @@ def pure_state(amplitudes: Sequence[complex]) -> np.ndarray:
         v = complex(psi[i])
         raise InputError(f"amplitude {i} is {v}, {_TOO_LARGE if np.isfinite(v) else 'not finite'}")
     norm2 = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm2 - 1.0) > NORM_TOL:
-        raise InputError(f"squared norm {norm2!r} differs from 1 beyond {NORM_TOL}")
+    if abs(norm2 - 1.0) > STATE_TOL:
+        raise InputError(f"squared norm {norm2!r} differs from 1 beyond {STATE_TOL}")
     return psi
 
 
@@ -90,16 +88,16 @@ def as_density_matrix(m: np.ndarray) -> np.ndarray:
         raise InputError(f"hermitian: defect {defect:.3e}")
     m = (m + dagger(m)) / 2.0
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > STATE_TOL:
         raise InputError(f"trace: trace {tr!r}")
     lo = min_eigenvalue(m)
-    if lo < -PSD_TOL:
+    if lo < -STATE_TOL:
         raise InputError(f"psd: minimum eigenvalue {lo:.3e}")
     return m
 
 
 def check_weights(weights: Iterable[float], where: str = "") -> list[float]:
-    """Mixture weights as floats, each finite and >= 0, summing to 1 within ``NORM_TOL``.
+    """Mixture weights as floats, each finite and >= 0, summing to 1 within ``STATE_TOL``.
 
     ``where``, the JSON path of a ``mix``, prefixes messages with the offending field.
     """
@@ -109,7 +107,7 @@ def check_weights(weights: Iterable[float], where: str = "") -> list[float]:
             at = f"{where}.parts[{i}].weight: " if where else ""
             why = "not finite" if not math.isfinite(w) else "negative"
             raise InputError(f"{at}weight {i} = {w} is {why}")
-    if abs(sum(weights) - 1.0) > NORM_TOL:
+    if abs(sum(weights) - 1.0) > STATE_TOL:
         raise InputError(f"{where + ': ' if where else ''}weights sum to {sum(weights)}, not 1")
     return weights
 

@@ -1,15 +1,14 @@
 """Pure-state three-tangle and the GHZ/W split of genuine entanglement.
 
-The three-tangle is the hyperdeterminant invariant
-
-    tau = 4 |d1 - 2 d2 + 4 d3|
-
-built from the degree-4 monomials of the amplitudes (indices named by the
-basis bits). It equals 1 on the balanced GHZ state, vanishes identically on
-the single-excitation (W-form) span and on every product or biseparable pure
-state, and for pure states coincides with the residual left after removing
-both pairwise concurrences from the one-vs-rest entanglement (the identity
-used as an independent oracle in the tests).
+With ``A_k = [[a00k, a01k], [a10k, a11k]]`` (k the bit of qubit C),
+``det(A0 + t A1) = c0 + c1 t + c2 t^2``, and the three-tangle is
+``tau = 4 |c1^2 - 4 c0 c2|``: that discriminant is Cayley's hyperdeterminant of
+the amplitudes (Miyake, PRA 67, 012108 (2003)), and the Coffman-Kundu-Wootters
+tangle is 4 |Det|. It equals 1 on the balanced GHZ state, vanishes identically
+on the single-excitation (W-form) span and on every product or biseparable pure
+state, and for pure states coincides with the residual left after removing both
+pairwise concurrences from the one-vs-rest entanglement (the identity used as
+an independent oracle in the tests).
 """
 
 from __future__ import annotations
@@ -26,22 +25,11 @@ NOT_GENUINE = "not-genuine"
 
 def three_tangle_pure(psi) -> float:
     """Three-tangle of a normalized three-qubit pure state, in [0, 1]."""
-    a = pure_state(psi)
-    a000, a001, a010, a011, a100, a101, a110, a111 = a
-    d1 = (
-        a000 ** 2 * a111 ** 2
-        + a001 ** 2 * a110 ** 2
-        + a010 ** 2 * a101 ** 2
-        + a100 ** 2 * a011 ** 2
-    )
-    d2 = (
-        a000 * a111 * (a011 * a100 + a101 * a010 + a110 * a001)
-        + a011 * a100 * a101 * a010
-        + a011 * a100 * a110 * a001
-        + a101 * a010 * a110 * a001
-    )
-    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+    a000, a001, a010, a011, a100, a101, a110, a111 = pure_state(psi)
+    c0 = a000 * a110 - a010 * a100
+    c1 = a000 * a111 + a001 * a110 - a010 * a101 - a011 * a100
+    c2 = a001 * a111 - a011 * a101
+    return float(4.0 * abs(c1 * c1 - 4.0 * c0 * c2))
 
 
 def pure_subclass(psi) -> str:

@@ -94,8 +94,18 @@ class TestHermitianEigenvalues:
             )
 
     def test_rejects_non_square(self):
-        with pytest.raises(InputError, match=r"expected a square matrix, got shape \(2, 3\)"):
-            hermitian_eigenvalues(np.ones((2, 3), dtype=complex))
+        # empty and non-finite input is named before any IndexError or numpy warning
+        nan, inf = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+        nan[0, 1] = nan[1, 0] = np.nan
+        inf[1, 1] = np.inf
+        for m, message in [
+            (np.ones((2, 3), dtype=complex), r"expected a non-empty square matrix, got shape \(2, 3\)"),
+            (np.zeros((0, 0)), r"expected a non-empty square matrix, got shape \(0, 0\)"),
+            (nan, r"entry \(0, 1\) is \(nan\+0j\), not finite"),
+            (inf, r"entry \(1, 1\) is \(inf\+0j\), not finite"),
+        ]:
+            with pytest.raises(InputError, match=f"^{message}$"):
+                min_eigenvalue(m)
 
     def test_rejects_non_hermitian_and_reports_defect(self):
         m = np.eye(2, dtype=complex)
@@ -104,10 +114,11 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(m)
 
     def test_nan_trace_residual_fails_closed(self):
-        # h @ h overflows, or symmetrizing does, so a residual is NaN, and
-        # NaN > bound is False; the message names the residual that failed
-        for x, residual in [(1e160, "trace of square residual nan, bound inf"),
-                            (1e300, "trace of square residual nan, bound inf"),
+        # the second moment overflows, so the bound is inf and fails the check,
+        # or symmetrizing overflows and a residual is NaN; the message names
+        # the residual that failed
+        for x, residual in [(1e160, "trace residual 1.000e\\+00, bound inf"),
+                            (1e300, "trace residual 1.000e\\+00, bound inf"),
                             (1e308 + 1e308j, "trace residual nan, bound 1.000e-10")]:
             m = np.eye(8, dtype=complex) / 8.0
             m[0, 1], m[1, 0] = x, np.conj(x)
@@ -115,6 +126,18 @@ class TestHermitianEigenvalues:
                 NumericalFailure, match=f"trace residuals out of bound: {residual}$"
             ):
                 hermitian_eigenvalues(m)
+
+    @pytest.mark.parametrize("x", [1e-160, 1e-200])
+    def test_pair_far_below_its_diagonal_gap(self, x):
+        # |tau| = 1.5e160 or more at (3, 6): tau * tau is inf, so the rotation
+        # angle is 0 and the pair is only zeroed. The 1e-13 pair at (1, 2)
+        # keeps the off-diagonal norm above OFFDIAG_TOL, so a sweep runs.
+        h = np.diag(np.arange(8.0)).astype(complex)
+        h[3, 6] = h[6, 3] = x
+        h[1, 2] = h[2, 1] = 1e-13
+        w = hermitian_eigenvalues(h)
+        np.testing.assert_array_equal(w, np.arange(8.0))
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
 
     def test_trace_residuals(self):
         rng = np.random.default_rng(7)

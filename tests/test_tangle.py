@@ -19,7 +19,14 @@ from spapt import (
 )
 from spapt import linalg
 from spapt.errors import InputError
-from support import ckw_residual_tangle, placed_bell, product_state, random_pure, random_qubit
+from support import (
+    ckw_residual_tangle,
+    placed_bell,
+    product_state,
+    random_pure,
+    random_qubit,
+    random_unitary,
+)
 
 INV2 = 1.0 / np.sqrt(2.0)
 INV3 = 1.0 / np.sqrt(3.0)
@@ -76,6 +83,10 @@ def test_local_phase_invariance():
         assert three_tangle_pure(phases * psi) == pytest.approx(
             three_tangle_pure(psi), abs=1e-12
         )
+        # the discriminant form singles out qubit C; a local unitary on each
+        # qubit must leave tau unchanged all the same
+        u = np.kron(np.kron(random_unitary(rng, 2), random_unitary(rng, 2)), random_unitary(rng, 2))
+        assert three_tangle_pure(u @ psi) == pytest.approx(three_tangle_pure(psi), abs=1e-12)
 
 
 def test_qubit_permutation_invariance():
