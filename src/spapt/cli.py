@@ -108,7 +108,7 @@ def _pretty_report(report: dict, out) -> None:
         out.write(f"three-tangle: {_fmt_computed(report['tangle'])}\n")
 
 
-def cmd_classify(args, out) -> int:
+def cmd_classify(args, out) -> None:
     try:
         if args.state_file == "-":
             text = sys.stdin.buffer.read().decode("utf-8")
@@ -124,7 +124,6 @@ def cmd_classify(args, out) -> int:
     else:
         out.write(json.dumps(report, indent=2))
         out.write("\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +204,7 @@ def _reproduce_table(rows, family, pair_cuts, pair_label, other_label, out) -> N
         ))
 
 
-def cmd_reproduce(args, out) -> int:
+def cmd_reproduce(args, out) -> None:
     if args.target == "table1":
         _reproduce_table(TABLE1_ROWS, "g3", "A", "a", "bc", out)
     elif args.target == "table2":
@@ -222,7 +221,6 @@ def cmd_reproduce(args, out) -> int:
                  _fmt(ref_max), _fmt_computed(max(minima.values()) - ref_max),
                  decide_minima(minima).label]
             ))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +253,7 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
     return name, values
 
 
-def cmd_scan(args, out) -> int:
+def cmd_scan(args, out) -> None:
     family = args.family.lower()
     param_names = catalog_param_names(family)
     grids = {}
@@ -291,7 +289,6 @@ def cmd_scan(args, out) -> int:
                 raise InputError(f"--tangle requires a pure family, {family} is mixed")
             cells.append(_fmt_computed(three_tangle_pure(psi)))
         out.write(_csv_line(cells))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +332,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     out = io.StringIO()
     try:
-        code = args.fn(args, out)
+        args.fn(args, out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -343,7 +340,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(out.getvalue())
-    return code
+    return 0
 
 
 if __name__ == "__main__":

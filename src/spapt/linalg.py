@@ -105,10 +105,10 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     defect = hermiticity_defect(m)
     if not defect <= HERMITICITY_TOL:
         raise InputError(f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.3e}")
-    h = (m + dagger(m)) / 2.0
+    h = m / 2.0 + dagger(m) / 2.0  # halves first: m + dagger(m) overflows near 1e308
     w = _jacobi_eigvalsh(h)
     tr2 = float(np.vdot(h, h).real)  # sum of |h_ij|^2, the trace of h @ h
-    bound = HERMITICITY_TOL * max(1.0, tr2)
+    bound = HERMITICITY_TOL * max(tr2, 1.0)  # tr2 first: a NaN tr2 gives a NaN bound
     for name, residual in (("trace", float(np.trace(h).real) - w.sum()),
                            ("trace of square", tr2 - float(np.vdot(w, w)))):
         if not abs(residual) <= bound < math.inf:

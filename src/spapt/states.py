@@ -153,13 +153,6 @@ def _unit_params(params):
     return v / np.sqrt(norm2)
 
 
-def _probability(x):
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise InputError(f"{x!r} outside [0, 1]")
-    return x
-
-
 def _pure(v: np.ndarray) -> StateSpec:
     return StateSpec(amplitudes=tuple(v.tolist()))
 
@@ -182,11 +175,18 @@ def _amplitudes_on(*labels):
     return build
 
 
-def _q_mix(first, second):
-    """Family ``q |first><first| + (1-q) |second><second|``."""
-    def build(q):
-        q = _probability(q)
-        return StateSpec(parts=((q, first), (1.0 - q, second)))
+def _mix_of(*parts):
+    """Family ``w1 parts[0] + ... + w(n-1) parts[n-2] + (1 - w1 - ...) parts[n-1]``,
+    whose parameters are the first n-1 weights."""
+    def build(*weights):
+        rest = 1.0
+        for w in weights:
+            if not 0.0 <= w <= 1.0:
+                raise InputError(f"{w!r} outside [0, 1]")
+            rest -= w  # left to right, so rho2's last weight is 1.0 - q1 - q2
+        if sum(weights) > 1.0 + 1e-12:
+            raise InputError(f"weights sum to {sum(weights)!r}, more than 1")
+        return StateSpec(parts=tuple(zip(weights + (max(0.0, rest),), parts)))
 
     return build
 
@@ -203,22 +203,10 @@ def _kye(a):
     return _matrix(m / 8.0 / (1.0 + a))  # not / (8 + 8a), which overflows for a near 1e308
 
 
-def _s2(alpha):
-    alpha = _probability(alpha)
-    return _matrix((1.0 - alpha) * density_from_pure(_GHZ.amplitudes) + alpha / 8.0 * np.eye(DIM))
-
-
-def _rho2(q1, q2):
-    q1 = _probability(q1)
-    q2 = _probability(q2)
-    if q1 + q2 > 1.0 + 1e-12:
-        raise InputError(f"q1+q2={q1 + q2!r} exceeds 1")
-    return StateSpec(parts=((q1, _GHZ), (q2, _W), (max(0.0, 1.0 - q1 - q2), _WTILDE)))
-
-
 _GHZ = _uniform("000", "111")
 _W = _uniform("001", "010", "100")
 _WTILDE = _uniform("110", "101", "011")
+_MAXMIX = _matrix(np.eye(DIM) / DIM)
 
 # name -> (parameter names, builder returning a pure, matrix or mix StateSpec);
 # catalog() puts the name in front of a builder's error messages
@@ -229,14 +217,14 @@ _CATALOG = {
     "g2": ((), lambda: _uniform("000", "100", "101", "110", "111")),
     "g3": (("l0", "l1", "l2"), _amplitudes_on("000", "100", "111")),
     "b2": (("l0", "l1", "l2"), _amplitudes_on("001", "101", "111")),
-    "ghz-w": (("q",), _q_mix(_GHZ, _W)),
-    "b1": (("q",), _q_mix(_uniform("000", "011"),
-                          _pure((ket("100") - ket("111")) / np.sqrt(2.0)))),
+    "ghz-w": (("q",), _mix_of(_GHZ, _W)),
+    "b1": (("q",), _mix_of(_uniform("000", "011"),
+                           _pure((ket("100") - ket("111")) / np.sqrt(2.0)))),
     "kye": (("a",), _kye),
-    "s2": (("alpha",), _s2),
-    "s3": (("q",), _q_mix(_uniform("001", "101"), _pure(ket("111")))),
-    "rho1": (("q",), _q_mix(_pure(ket("000")), _GHZ)),
-    "rho2": (("q1", "q2"), _rho2),
+    "s2": (("alpha",), _mix_of(_MAXMIX, _GHZ)),
+    "s3": (("q",), _mix_of(_uniform("001", "101"), _pure(ket("111")))),
+    "rho1": (("q",), _mix_of(_pure(ket("000")), _GHZ)),
+    "rho2": (("q1", "q2"), _mix_of(_GHZ, _W, _WTILDE)),
 }
 
 

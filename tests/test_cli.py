@@ -117,6 +117,12 @@ class TestClassifyCommand:
         assert out == ""
         assert "pure" in err
 
+    def test_pretty_output_with_tangle(self, tmp_path, capsys):
+        path = write_state(tmp_path, {"catalog": {"name": "g2"}})
+        code, out, _ = run_cli(["classify", path, "--pretty", "--tangle"], capsys)
+        assert code == 0
+        assert out.endswith("three-tangle: 0.16\n")
+
     def test_pretty_output(self, tmp_path, capsys):
         path = write_state(tmp_path, {"catalog": {"name": "kye", "params": [4]}})
         code, out, _ = run_cli(["classify", path, "--pretty"], capsys)
@@ -447,6 +453,12 @@ class TestScanCommand:
         assert rows[0].endswith(",tau")
         assert float(rows[1].split(",")[-1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_tangle_of_s2_at_alpha_0(self, capsys):
+        # the maximally mixed part has weight 0, so the one live part is pure GHZ
+        code, out, _ = run_cli(["scan", "s2", "--grid", "alpha=0", "--tangle"], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[-1] == "1"
+
     def test_tangle_on_mixed_family_exits_2(self, capsys):
         code, out, err = run_cli(["scan", "s2", "--grid", "alpha=0.5", "--tangle"], capsys)
         assert code == 2
@@ -460,6 +472,17 @@ class TestScanCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ghz: squared norm")
+
+    @pytest.mark.parametrize("grids, line", [
+        (["q"], "error: --grid: expected name=values, got 'q'"),
+        (["q=0.5", "x=1"], "error: ghz-w has parameters ('q',); unknown grid name(s) ['x']"),
+    ])
+    def test_bad_grid_name_exits_2(self, capsys, grids, line):
+        argv = ["scan", "ghz-w"] + [arg for g in grids for arg in ("--grid", g)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == line + "\n"
 
     def test_repeated_grid_name_exits_2(self, capsys):
         code, out, err = run_cli(["scan", "ghz-w", "--grid", "q=0.1", "--grid", "q=0.9"], capsys)

@@ -28,6 +28,7 @@ from spapt.errors import InputError
 from support import random_density, random_pure
 
 INV2 = 1.0 / np.sqrt(2.0)
+ZEROS = [[0] * 8 for _ in range(8)]
 
 
 def block(rho, br, bc):
@@ -224,7 +225,7 @@ class TestCatalog:
     def test_param_out_of_range(self):
         with pytest.raises(InputError, match=r"^b1: 1.5 outside \[0, 1\]"):
             catalog("b1", 1.5)
-        with pytest.raises(InputError, match=r"^rho2: q1\+q2=1.4 exceeds 1"):
+        with pytest.raises(InputError, match="^rho2: weights sum to 1.4, more than 1$"):
             catalog("rho2", 0.7, 0.7)
         with pytest.raises(InputError, match="^kye: a=-1.0 must be >= 0"):
             catalog("kye", -1.0)
@@ -244,12 +245,34 @@ class TestCatalog:
         ("s2", (2.0,), "s2: 2.0 outside [0, 1]"),
         ("s3", (1.0000001,), "s3: 1.0000001 outside [0, 1]"),
         ("rho1", (-1e-9,), "rho1: -1e-09 outside [0, 1]"),
-        ("rho2", (0.7, 0.7), "rho2: q1+q2=1.4 exceeds 1"),
+        ("rho2", (0.7, 0.7), "rho2: weights sum to 1.4, more than 1"),
     ])
     def test_every_family_names_itself_in_its_build_error(self, name, params, message):
         with pytest.raises(InputError) as info:
             catalog(name, *params)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-15, 0.13, 0.5, 0.8, 1.0])
+    def test_s2_keeps_its_matrix_formula_bit_for_bit(self, alpha):
+        # s2 was built as this one matrix before it became a catalog mixture
+        ghz = (ket("000") + ket("111")) / np.sqrt(2.0)
+        expected = as_density_matrix((1 - alpha) * density_from_pure(ghz) + alpha / 8.0 * np.eye(8))
+        assert np.array_equal(to_density(catalog("s2", alpha)), expected)
+
+    @pytest.mark.parametrize("q1, q2", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.25),
+                                        (0.2, 0.3), (0.37, 0.41)])
+    def test_rho2_keeps_its_weights_bit_for_bit(self, q1, q2):
+        p_ghz, p_w, p_wtilde = (
+            density_from_pure(sum(ket(label) for label in labels) / np.sqrt(len(labels)))
+            for labels in (("000", "111"), ("001", "010", "100"), ("110", "101", "011"))
+        )
+        expected = as_density_matrix(q1 * p_ghz + q2 * p_w + (1.0 - q1 - q2) * p_wtilde)
+        assert np.array_equal(to_density(catalog("rho2", q1, q2)), expected)
+
+    def test_s2_at_alpha_0_is_the_pure_ghz_state(self):
+        ghz = (ket("000") + ket("111")) / np.sqrt(2.0)
+        assert np.array_equal(pure_amplitudes(catalog("s2", 0.0)), ghz)
+        assert pure_amplitudes(catalog("s2", 0.5)) is None
 
     def test_table_row_parameters_renormalize(self):
         # (0.3, 0.4, 0.866) has squared norm 0.999956; the catalog takes it
@@ -317,6 +340,14 @@ class TestValidation:
         rho[0, 1] = 1e-6
         with pytest.raises(InputError, match="^hermitian: defect 1.000e-06"):
             as_density_matrix(rho)
+
+    def test_wrong_shapes_rejected(self):
+        with pytest.raises(InputError) as err:
+            pure_state([1, 0])
+        assert str(err.value) == "expected 8 amplitudes, got (2,)"
+        with pytest.raises(InputError) as err:
+            as_density_matrix(np.eye(4) / 4)
+        assert str(err.value) == "shape: expected 8x8, got (4, 4)"
 
     def test_trace_violation(self):
         with pytest.raises(InputError, match="^trace: trace 8.0"):
@@ -402,6 +433,30 @@ class TestJsonSchema:
     def test_schema_error_names_the_path(self):
         with pytest.raises(InputError, match=r"^\$\.pure\.amplitudes\[3\]: expected a number"):
             parse_state_file('{"pure": {"amplitudes": [1,0,0,"x",0,0,0,0]}}')
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "$: expected an object"),
+        ({"pure": {"amplitudes": [1, 0, 0]}}, "$.pure.amplitudes: expected 8 entries"),
+        ({"matrix": {"im": ZEROS}}, "$.matrix: expected an object with 're' (and optional 'im')"),
+        ({"matrix": {"re": ZEROS[:7]}}, "$.matrix.re: expected an 8x8 array of numbers"),
+        ({"matrix": {"re": [row if i != 2 else [0, 0, 0, 0, 0, "x", 0, 0]
+                            for i, row in enumerate(ZEROS)]}},
+         "$.matrix.re[2][5]: expected a number"),
+        ({"mix": {"parts": [], "extra": 1}}, "$.mix: expected an object with 'parts'"),
+        ({"mix": {"parts": []}}, "$.mix.parts: expected a non-empty list"),
+        ({"mix": {"parts": [{"weight": 1}]}},
+         "$.mix.parts[0]: expected an object with 'weight' and 'state'"),
+        ({"mix": {"parts": [{"weight": "1", "state": {"catalog": {"name": "g2"}}}]}},
+         "$.mix.parts[0].weight: expected a number"),
+        ({"catalog": {"nam": "ghz"}},
+         "$.catalog: expected an object with 'name' and optional 'params'"),
+        ({"catalog": {"name": 3}}, "$.catalog.name: expected a string"),
+        ({"catalog": {"name": "ghz", "params": "0.6"}}, "$.catalog.params: expected a list of numbers"),
+    ])
+    def test_every_schema_error_names_its_field(self, doc, message):
+        with pytest.raises(InputError) as err:
+            parse_state_file(json.dumps(doc))
+        assert str(err.value) == message
 
     def test_rejects_multiple_top_level_keys(self):
         with pytest.raises(InputError, match=r"^\$: expected exactly one of"):
