@@ -72,13 +72,18 @@ def channel_minima(rho) -> dict[str, float]:
 
     A numeric function of any Hermitian 8x8 ``rho``; :func:`classify` checks it is
     a state. A state's ``mu`` lies in [-1/2, 1], so each minimum lies in [0, 0.3];
-    one outside it (beyond ``STATE_TOL``) raises :class:`NumericalFailure`.
+    one outside it (beyond ``STATE_TOL``), or a failed solve (``cut B: ...``), raises
+    :class:`NumericalFailure`.
     """
-    minima = {q: THRESHOLD + (1.0 - CANONICAL_WEIGHT) * min_eigenvalue(partial_transpose(rho, q))
-              for q in QUBITS}
-    for q, lam in minima.items():
+    minima = {}
+    for q in QUBITS:
+        try:
+            lam = THRESHOLD + (1.0 - CANONICAL_WEIGHT) * min_eigenvalue(partial_transpose(rho, q))
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"cut {q}: {exc}") from exc
         if not -STATE_TOL <= lam <= 0.3 + STATE_TOL:
             raise NumericalFailure(f"channel minimum of cut {q}, {lam!r}, outside [0.0, 0.3]")
+        minima[q] = lam
     return minima
 
 

@@ -14,10 +14,11 @@ where ``a[p, q] = m * exp(i*phi)`` and ``t = s/c`` is the smaller-magnitude
 root of ``t^2 - 2*tau*t - 1 = 0`` with ``tau = (a[q,q] - a[p,p]) / (2*m)``.
 Past ``|tau|`` of about 1.3e154, ``tau*tau`` is inf and t is +-0: the rotation
 then only zeroes an entry over 150 orders of magnitude below its diagonal gap.
-A rotation skips a pair of entries of columns or rows p, q only when both are
-zero (partial transposes are mostly zeros). Sweeps stop when the off-diagonal
-Frobenius norm, sqrt(2) times that of the strict upper triangle, drops below
-``OFFDIAG_TOL`` or after ``MAX_SWEEPS`` passes.
+Sweeps are cyclic threshold Jacobi (Rutishauser; Wilkinson & Reinsch, 1971): a
+pair with ``|a[p, q]| < OFFDIAG_TOL / n`` is skipped, and the sweeps stop after
+one that rotates no pair (the off-diagonal Frobenius norm is then below
+``sqrt(n(n-1)) * OFFDIAG_TOL / n < OFFDIAG_TOL``) or after ``MAX_SWEEPS``. A
+rotation skips an entry pair of columns or rows p, q when both entries are zero.
 """
 
 from __future__ import annotations
@@ -44,34 +45,26 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dagger(m))))
 
 
-def _rotation(app: float, aqq: float, apq: complex):
-    """Return (c, s, phase) zeroing the (p, q) element of a 2x2 Hermitian block."""
-    m = abs(apq)
-    phase = apq / m
-    tau = float(aqq - app) / float(2.0 * m)  # Python floats: past the range, inf and no warning
-    if tau >= 0.0:
-        t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    return c, t * c, phase
-
-
 def _jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a complex Hermitian matrix by Jacobi sweeps."""
+    """Ascending eigenvalues of a complex Hermitian matrix by threshold Jacobi sweeps."""
     a = np.asarray(matrix, dtype=np.complex128).tolist()
     n = len(a)
+    floor = OFFDIAG_TOL / n
     for _ in range(MAX_SWEEPS):
-        upper = [abs(x) for p, row in enumerate(a) for x in row[p + 1:]]
-        if math.sqrt(2.0) * math.hypot(*upper) < OFFDIAG_TOL:
-            break
+        rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                if abs(apq) < 1e-300:
+                m = abs(apq)
+                if m < floor:
                     continue
+                rotated = True
                 rowp, rowq = a[p], a[q]
-                c, s, ph = _rotation(rowp[p].real, rowq[q].real, apq)
+                ph = apq / m
+                tau = (rowq[q].real - rowp[p].real) / (2.0 * m)  # Python floats: inf, no warning
+                t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
                 phc = ph.conjugate()
                 for row in a:  # columns p and q
                     x, y = row[p], row[q]
@@ -83,6 +76,8 @@ def _jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
                         rowp[k] = c * x + (s * ph) * y
                         rowq[k] = (-s * phc) * x + c * y
                 rowp[q] = rowq[p] = 0j
+        if not rotated:
+            break
     return np.sort([a[k][k].real for k in range(n)])
 
 

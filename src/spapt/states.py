@@ -7,6 +7,7 @@ splits into a 4x4 grid of 2x2 blocks indexed by the A and B bits.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -67,6 +68,15 @@ def density_from_pure(psi: Sequence[complex]) -> np.ndarray:
     """Rank-one density matrix of a normalized pure state."""
     psi = pure_state(psi)
     return np.outer(psi, psi.conj())
+
+
+@functools.lru_cache(maxsize=64)
+def _pure_density(amplitudes: tuple) -> np.ndarray:
+    """Read-only ``density_from_pure``, so the fixed parts of catalog mixtures are
+    built once; amplitudes equal as numbers (0.0 and -0.0) share one entry."""
+    rho = density_from_pure(amplitudes)
+    rho.flags.writeable = False
+    return rho
 
 
 def as_density_matrix(m: np.ndarray) -> np.ndarray:
@@ -278,7 +288,7 @@ def to_density(spec: StateSpec) -> np.ndarray:
 
 def _realise(spec: StateSpec) -> np.ndarray:
     if spec.amplitudes is not None:
-        return density_from_pure(spec.amplitudes)
+        return _pure_density(tuple(spec.amplitudes)).copy()
     if spec.matrix is not None:
         return as_density_matrix(np.asarray(spec.matrix, dtype=np.complex128))
     if spec.parts is not None:

@@ -83,6 +83,24 @@ class TestSpectralSummary:
                 with pytest.raises(NumericalFailure, match=f"cut A, .* {bounds}"):
                     channel_minima(mm)
 
+    def test_solver_failure_names_its_cut(self, monkeypatch):
+        # a kernel that returns a wrong spectrum for the second solve (cut B) fails
+        # the trace-moment check, and the failure names the cut before the solver's words
+        rho = to_density(catalog("ghz-w", 0.3))  # its validation solve runs unpatched
+        linalg, calls = importlib.import_module("spapt.linalg"), []
+        real = linalg._jacobi_eigvalsh
+
+        def wrong_second_spectrum(m):
+            calls.append(m)
+            return real(m) + (1.0 if len(calls) == 2 else 0.0)
+
+        monkeypatch.setattr(linalg, "_jacobi_eigvalsh", wrong_second_spectrum)
+        with pytest.raises(NumericalFailure, match=(
+                r"^cut B: eigenvalue sweeps left trace residuals out of bound: "
+                r"trace residual -8\.000e\+00, bound 1\.000e-10$")):
+            channel_minima(rho)
+        assert len(calls) == 2
+
 
 class TestClassify:
     def test_entangling_ghz_parameters(self):

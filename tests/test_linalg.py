@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spapt import dagger, hermitian_eigenvalues, min_eigenvalue
 from spapt.errors import InputError, NumericalFailure
@@ -39,6 +41,16 @@ class TestKron:
             )
 
 
+def masked_hermitian(seed, n, keep):
+    """Random Hermitian n x n whose entry pairs, diagonal included, are each kept with
+    probability ``keep`` and otherwise zero, as in partial transposes and Choi operators."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, n)
+    zero = np.triu(rng.random((n, n)) >= keep)
+    h[zero | zero.T] = 0.0
+    return h
+
+
 class TestHermitianEigenvalues:
     def test_diagonal_sorted(self):
         np.testing.assert_allclose(
@@ -74,6 +86,20 @@ class TestHermitianEigenvalues:
     def test_matches_lapack_at_choi_size(self):
         h = random_hermitian(np.random.default_rng(13), 64)
         np.testing.assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h), atol=1e-11)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_masked_8x8_matches_lapack(self, seed, keep):
+        h = masked_hermitian(seed, 8, keep)
+        np.testing.assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=3, deadline=None)  # about 1 s per 64x64 solve
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_masked_64x64_matches_lapack(self, seed, keep):
+        h = masked_hermitian(seed, 64, keep)
+        np.testing.assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h),
+                                   rtol=0, atol=1e-12)
 
     def test_input_not_mutated(self):
         h = random_hermitian(np.random.default_rng(14), 8)
@@ -131,15 +157,15 @@ class TestHermitianEigenvalues:
 
     @pytest.mark.parametrize("x", [1e-160, 1e-200])
     def test_pair_far_below_its_diagonal_gap(self, x):
-        # |tau| = 1.5e160 or more at (3, 6): tau * tau is inf, so the rotation
-        # angle is 0 and the pair is only zeroed. The 1e-13 pair at (1, 2)
-        # keeps the off-diagonal norm above OFFDIAG_TOL, so a sweep runs.
+        # the 1e-13 pair at (1, 2) is above the OFFDIAG_TOL / 8 floor, and its
+        # |tau| = 5e162 is past 1.3e154: tau * tau is inf, so the rotation angle
+        # is 0 and the pair is only zeroed. The x pair at (3, 6) is below the
+        # floor and is skipped.
         h = np.diag(np.arange(8.0)).astype(complex)
+        h[2, 2] = 1e150
         h[3, 6] = h[6, 3] = x
         h[1, 2] = h[2, 1] = 1e-13
-        w = hermitian_eigenvalues(h)
-        np.testing.assert_array_equal(w, np.arange(8.0))
-        np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
+        np.testing.assert_array_equal(hermitian_eigenvalues(h), [0, 1, 3, 4, 5, 6, 7, 1e150])
 
     def test_trace_residuals(self):
         rng = np.random.default_rng(7)

@@ -188,6 +188,28 @@ class TestConvexMix:
             assert str(err.value) == message
 
 
+class TestPartCache:
+    """Pure parts are realised once and shared; what ``to_density`` returns is not."""
+
+    def test_each_realisation_is_a_fresh_writeable_array(self):
+        for spec in (catalog("ghz", INV2, INV2), catalog("ghz-w", 0.3),
+                     catalog("rho2", 0.2, 0.3), StateSpec(amplitudes=list(ket("010")))):
+            first, second = to_density(spec), to_density(spec)
+            assert first.flags.writeable and second.flags.writeable
+            assert first is not second
+            np.testing.assert_array_equal(first, second)
+
+    def test_writing_a_realised_part_leaves_later_mixtures_unchanged(self):
+        specs = {key: catalog(*key) for key in (("ghz-w", 0.3), ("rho2", 0.2, 0.3))}
+        before = {key: to_density(spec) for key, spec in specs.items()}
+        for spec in specs.values():
+            for _, part in spec.parts:
+                to_density(part)[:] = 7.0
+        for key, spec in specs.items():
+            np.testing.assert_array_equal(to_density(spec), before[key])
+            np.testing.assert_allclose(to_density(spec), readme_family(*key)[1], rtol=0, atol=1e-15)
+
+
 class TestCatalog:
     def test_ghz_amplitudes(self):
         psi = pure_amplitudes(catalog("ghz", INV2, INV2))
