@@ -28,7 +28,7 @@ from .errors import InputError, NumericalFailure
 from .ptranspose import QUBITS, partial_transpose
 from .spa import CANONICAL_WEIGHT, THRESHOLD
 from .linalg import min_eigenvalue
-from .states import STATE_TOL, as_density_matrix
+from .states import STATE_TOL, as_density_matrix, as_float
 
 CUT_NAMES = {"A": "A-BC", "B": "B-AC", "C": "C-AB"}
 DEFAULT_EPS = 1e-9
@@ -96,7 +96,7 @@ def cut_passes(lam: float, eps: float) -> bool:
     """
     # NaN would fail every threshold comparison and infinity pass every one,
     # so either would decide the verdict instead of the state
-    if not (math.isfinite(eps) and eps >= 0.0):
+    if not (math.isfinite(as_float(eps, "eps")) and eps >= 0.0):
         raise InputError(f"eps={eps!r} must be finite and >= 0")
     return lam >= THRESHOLD - eps
 

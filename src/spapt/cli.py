@@ -70,10 +70,11 @@ def build_report(spec, eps: float = DEFAULT_EPS, want_tangle: bool = False) -> d
     """Full classification report for a parsed state specification."""
     rho = to_density(spec)
     started = time.perf_counter()
+    # first, so that a solver failure names its cut; the same solves then cannot fail
+    minima = channel_minima(rho)
     pt_spectra = {
         q: [float(x) for x in hermitian_eigenvalues(partial_transpose(rho, q))] for q in QUBITS
     }
-    minima = channel_minima(rho)
     verdict = decide_minima(minima, eps)
     report = {
         "input": spec_to_obj(spec),

@@ -106,12 +106,20 @@ def as_density_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def as_float(x, what: str) -> float:
+    """``float(x)``; an integer too large for a double is an InputError naming ``what``."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"{what}: expected a finite number, got an integer too large") from None
+
+
 def check_weights(weights: Iterable[float], where: str = "") -> list[float]:
     """Mixture weights as floats, each finite and >= 0, summing to 1 within ``STATE_TOL``.
 
     ``where``, the JSON path of a ``mix``, prefixes messages with the offending field.
     """
-    weights = [float(w) for w in weights]
+    weights = [as_float(w, f"weight {i}") for i, w in enumerate(weights)]
     for i, w in enumerate(weights):
         if not (math.isfinite(w) and w >= 0.0):
             at = f"{where}.parts[{i}].weight: " if where else ""
@@ -246,7 +254,7 @@ def catalog(name: str, *params: float) -> StateSpec:
         raise InputError(
             f"{key}: expected {len(param_names)} parameter(s) {param_names}, got {len(params)}"
         )
-    values = tuple(float(p) for p in params)
+    values = tuple(as_float(p, f"{key}: {pname}") for pname, p in zip(param_names, params))
     for pname, v in zip(param_names, values):
         if not math.isfinite(v):
             raise InputError(f"{key}: {pname}={v!r} is not finite")
@@ -307,10 +315,7 @@ def _is_number(x) -> bool:
 def _finite(x, path) -> float:
     """``x`` as a float; ``json`` decodes NaN, Infinity and integers too large for
     a double, which are rejected here."""
-    try:
-        x = float(x)
-    except OverflowError:
-        raise InputError(f"{path}: expected a finite number, got an integer too large") from None
+    x = as_float(x, path)
     if not math.isfinite(x):
         raise InputError(f"{path}: expected a finite number, got {x!r}")
     return x

@@ -17,18 +17,16 @@ from spapt import (
     catalog,
     channel_minima,
     classify,
-    density_from_pure,
     hermitian_eigenvalues,
-    ket,
-    min_cp_parameter,
-    min_eigenvalue,
     partial_transpose,
-    pure_amplitudes,
     pure_subclass,
     spa_pt,
     three_tangle_pure,
     to_density,
 )
+from spapt.linalg import min_eigenvalue
+from spapt.spa import min_cp_parameter
+from spapt.states import density_from_pure, ket, pure_amplitudes
 from spapt.cli import TABLE1_ROWS, TABLE2_ROWS, _ghz_w_reference, _rho2_reference
 from support import (
     ckw_residual_tangle,

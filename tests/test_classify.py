@@ -16,12 +16,11 @@ from spapt import (
     channel_minima,
     classify,
     decide_minima,
-    density_from_pure,
-    ket,
-    min_eigenvalue,
     partial_transpose,
     to_density,
 )
+from spapt.linalg import min_eigenvalue
+from spapt.states import density_from_pure, ket
 from spapt.classify import DEFAULT_EPS, cut_passes
 from spapt.errors import InputError, NumericalFailure
 from support import (
@@ -151,18 +150,21 @@ class TestClassify:
         with pytest.raises(InputError, match=r"eps=-1.0 must be finite and >= 0"):
             classify(np.eye(8, dtype=complex) / 8.0, eps=-1.0)
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0,
+                                     pytest.param(10**400, id="int-too-large")])
     def test_eps_must_be_finite_and_nonnegative(self, eps):
         # NaN fails every comparison and inf passes every one, so either
         # would decide the verdict without looking at the state
         rho = to_density(catalog("kye", 4.0))
+        message = (f"eps={eps!r} must be finite and >= 0" if isinstance(eps, float)
+                   else "eps: expected a finite number, got an integer too large")
         calls = [
             lambda: classify(rho, eps=eps),
             lambda: decide_minima({"A": 0.11, "B": 0.11, "C": 0.11}, eps=eps),
             lambda: cut_passes(channel_minima(rho)["A"], eps),
         ]
         for call in calls:
-            with pytest.raises(InputError, match=f"eps={eps!r} must be finite and >= 0"):
+            with pytest.raises(InputError, match=message):
                 call()
 
 

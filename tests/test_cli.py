@@ -606,3 +606,23 @@ def test_classify_tangle_builds_the_catalog_state_once(tmp_path, capsys, monkeyp
     assert code == 0
     assert json.loads(out)["tangle"] == pytest.approx(4 * 0.36 * 0.64, abs=1e-12)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{path}"],
+    ["scan", "ghz", "--grid", "alpha=0.6", "--grid", "beta=0.8"],
+], ids=["classify", "scan"])
+def test_solver_failure_names_its_cut_on_every_command(tmp_path, capsys, monkeypatch, argv):
+    # a pure input needs no validation solve, so the second solve is cut B's
+    path = write_state(tmp_path, {"pure": {"amplitudes": [0.6, 0, 0, 0, 0, 0, 0, 0.8]}})
+    linalg, calls = importlib.import_module("spapt.linalg"), []
+    real = linalg._jacobi_eigvalsh
+
+    def wrong_second_spectrum(m):
+        calls.append(m)
+        return real(m) + (1.0 if len(calls) == 2 else 0.0)
+
+    monkeypatch.setattr(linalg, "_jacobi_eigvalsh", wrong_second_spectrum)
+    code, out, err = run_cli([a.format(path=path) for a in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("numerical failure: cut B: eigenvalue sweeps left trace residuals")

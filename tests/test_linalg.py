@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spapt import dagger, hermitian_eigenvalues, min_eigenvalue
+from spapt.linalg import dagger, hermitian_eigenvalues, min_eigenvalue
 from spapt.errors import InputError, NumericalFailure
 from spapt.states import density_from_pure, ket
 from spapt.ptranspose import partial_transpose

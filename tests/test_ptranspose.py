@@ -5,16 +5,14 @@ import pytest
 
 from spapt import (
     catalog,
-    choi_matrix,
-    density_from_pure,
     hermitian_eigenvalues,
-    ket,
-    min_cp_parameter,
-    min_eigenvalue,
     partial_transpose,
     spa_pt,
     to_density,
 )
+from spapt.linalg import min_eigenvalue
+from spapt.spa import choi_matrix, min_cp_parameter
+from spapt.states import density_from_pure, ket
 from spapt.errors import InputError
 from support import pt_block_form, random_density, w_param_grid
 

@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from spapt import (
     catalog,
-    choi_matrix,
-    density_from_pure,
     hermitian_eigenvalues,
-    ket,
-    min_choi_psd_parameter,
-    min_cp_parameter,
-    min_eigenvalue,
     partial_transpose,
     spa_pt,
     to_density,
 )
-from spapt.spa import worst_case_pt_min
+from spapt.linalg import min_eigenvalue
+from spapt.spa import choi_matrix, min_choi_psd_parameter, min_cp_parameter, worst_case_pt_min
+from spapt.states import density_from_pure, ket
 from support import (
     random_density,
     random_pure,

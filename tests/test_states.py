@@ -10,19 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spapt import (
+    catalog,
+    parse_state_file,
+    to_density,
+)
+from spapt.states import (
     StateSpec,
     as_density_matrix,
-    catalog,
     catalog_names,
+    catalog_param_names,
     convex_mix,
     density_from_pure,
     ket,
-    parse_state_file,
     pure_amplitudes,
     pure_state,
-    to_density,
+    spec_from_obj,
+    spec_to_obj,
 )
-from spapt.states import catalog_param_names, spec_from_obj, spec_to_obj
 from spapt import errors
 from spapt.errors import InputError
 from support import random_density, random_pure
@@ -181,6 +185,8 @@ class TestConvexMix:
             ([(1.5, rho), (-0.5, rho)], "weight 1 = -0.5 is negative"),
             ([(float("nan"), rho), (1.0, rho)], "weight 0 = nan is not finite"),
             ([(0.25, rho), (0.25, rho)], "weights sum to 0.5, not 1"),
+            ([(10**400, rho), (1.0, rho)],
+             "weight 0: expected a finite number, got an integer too large"),
         ]
         for parts, message in cases:
             with pytest.raises(InputError) as err:
@@ -268,6 +274,8 @@ class TestCatalog:
         ("s3", (1.0000001,), "s3: 1.0000001 outside [0, 1]"),
         ("rho1", (-1e-9,), "rho1: -1e-09 outside [0, 1]"),
         ("rho2", (0.7, 0.7), "rho2: weights sum to 1.4, more than 1"),
+        ("ghz-w", (10**400,), "ghz-w: q: expected a finite number, got an integer too large"),
+        ("kye", (10**400,), "kye: a: expected a finite number, got an integer too large"),
     ])
     def test_every_family_names_itself_in_its_build_error(self, name, params, message):
         with pytest.raises(InputError) as info:

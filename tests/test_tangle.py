@@ -9,14 +9,12 @@ from spapt import (
     W_CLASS,
     catalog,
     channel_minima,
-    density_from_pure,
     hermitian_eigenvalues,
-    ket,
     partial_transpose,
-    pure_amplitudes,
     pure_subclass,
     three_tangle_pure,
 )
+from spapt.states import density_from_pure, ket, pure_amplitudes
 from spapt import linalg
 from spapt.errors import InputError
 from support import (
