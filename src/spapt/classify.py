@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from .errors import InputError, NumericalFailure
 from .ptranspose import QUBITS, partial_transpose
 from .spa import CANONICAL_WEIGHT, THRESHOLD
-from .linalg import min_eigenvalue
-from .states import STATE_TOL, as_density_matrix, as_float
+from .linalg import as_float, min_eigenvalue
+from .states import STATE_TOL, as_density_matrix
 
 CUT_NAMES = {"A": "A-BC", "B": "B-AC", "C": "C-AB"}
 DEFAULT_EPS = 1e-9
@@ -91,12 +91,12 @@ def cut_passes(lam: float, eps: float) -> bool:
     """True when the channel minimum ``lam`` of a cut reaches 1/10 within ``eps``.
 
     Passing is only consistent with separability across the cut; failing
-    certifies entanglement across it. An ``eps`` that is not finite and >= 0
-    raises :class:`InputError`.
+    certifies entanglement across it. ``as_float`` rejects an ``eps`` that is
+    not finite (NaN would fail every threshold comparison and infinity pass
+    every one); a negative one raises :class:`InputError` here.
     """
-    # NaN would fail every threshold comparison and infinity pass every one,
-    # so either would decide the verdict instead of the state
-    if not (math.isfinite(as_float(eps, "eps")) and eps >= 0.0):
+    eps = as_float(eps, "eps")
+    if eps < 0.0:
         raise InputError(f"eps={eps!r} must be finite and >= 0")
     return lam >= THRESHOLD - eps
 

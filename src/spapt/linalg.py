@@ -34,6 +34,27 @@ OFFDIAG_TOL = 1e-13
 MAX_SWEEPS = 100
 
 
+def as_float(x, what: str) -> float:
+    """``x`` as a finite float, the one finiteness rule for scalars from outside: NaN, an
+    infinity, an integer too large for a double or a non-number is an InputError."""
+    try:
+        v = float(x)
+        if math.isfinite(v):
+            return v
+        got = repr(v)
+    except (OverflowError, TypeError, ValueError) as exc:
+        got = "an integer too large" if isinstance(exc, OverflowError) else repr(x)
+    raise InputError(f"{what}: expected a finite number, got {got}")
+
+
+def as_complex_array(x, what: str) -> np.ndarray:
+    """``x`` as a complex128 array; a conversion error is an InputError naming ``what``."""
+    try:
+        return np.asarray(x, dtype=np.complex128)
+    except (OverflowError, TypeError, ValueError) as exc:  # too large, not a number, ragged
+        raise InputError(f"{what}: expected an array of numbers ({exc})") from None
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
@@ -41,7 +62,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    m = np.asarray(m)
     return float(np.max(np.abs(m - dagger(m))))
 
 
@@ -91,7 +111,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     NaN or an infinite bound included, raises :class:`NumericalFailure`. An empty
     or non-finite input raises :class:`InputError`, naming its shape or entry.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = as_complex_array(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise InputError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+from .linalg import as_complex_array
 
 QUBITS = ("A", "B", "C")
 _BIT = {"A": 0, "B": 1, "C": 2}
@@ -40,7 +41,7 @@ def partial_transpose(rho: np.ndarray, q: str) -> np.ndarray:
     The result stays Hermitian with unit trace but need not be PSD; a negative
     eigenvalue certifies entanglement across the ``q`` vs rest cut.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = as_complex_array(rho, "rho")
     if rho.shape != (8, 8):
         raise InputError(f"shape: expected an 8x8 matrix, got {rho.shape}")
     return transpose_bits(rho, 3, qubit_index(q))

@@ -49,7 +49,8 @@ THRESHOLD = CANONICAL_WEIGHT / 8.0  # 1/10
 def spa_pt(rho: np.ndarray, q: str) -> np.ndarray:
     """Channel output ``(p/8) I + (1-p) PT_q(rho)`` at ``p = CANONICAL_WEIGHT``."""
     pt = partial_transpose(rho, q)
-    return THRESHOLD * np.eye(8, dtype=np.complex128) + (1.0 - CANONICAL_WEIGHT) * pt
+    with np.errstate(invalid="ignore"):  # 0.2 * (inf+0j) has a NaN imaginary part
+        return THRESHOLD * np.eye(8, dtype=np.complex128) + (1.0 - CANONICAL_WEIGHT) * pt
 
 
 def choi_matrix(q: str) -> np.ndarray:
@@ -60,10 +61,9 @@ def choi_matrix(q: str) -> np.ndarray:
     64x64 operator. The channel's Choi operator at weight ``p`` is
     ``p I/64 + (1-p) C0``, so its spectrum follows from this one.
     """
-    bit = qubit_index(q)
     psi = np.eye(8, dtype=np.complex128).reshape(-1) / np.sqrt(8.0)
     phi = np.outer(psi, psi.conj())
-    return transpose_bits(phi, 6, 3 + bit)
+    return transpose_bits(phi, 6, 3 + qubit_index(q))
 
 
 def worst_case_pt_min(q: str) -> float:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import dagger, hermiticity_defect, min_eigenvalue
+from .linalg import as_complex_array, as_float, dagger, hermiticity_defect, min_eigenvalue
 
 STATE_TOL = 1e-10  # norm, weights, trace, PSD minimum; classify and cli reuse it
 RAW_HERM_TOL = 1e-8
@@ -51,7 +50,7 @@ def _first_unbounded(values: np.ndarray) -> int | None:
 
 def pure_state(amplitudes: Sequence[complex]) -> np.ndarray:
     """Validate and return an 8-amplitude pure state (unit norm required)."""
-    psi = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    psi = as_complex_array(amplitudes, "amplitudes").reshape(-1)
     if psi.shape != (DIM,):
         raise InputError(f"expected 8 amplitudes, got {psi.shape}")
     i = _first_unbounded(psi)
@@ -85,7 +84,7 @@ def as_density_matrix(m: np.ndarray) -> np.ndarray:
     Hermiticity defects below ``RAW_HERM_TOL`` are symmetrized away, which
     tolerates benign I/O rounding; anything larger is rejected.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = as_complex_array(m, "matrix")
     if m.shape != (DIM, DIM):
         raise InputError(f"shape: expected 8x8, got {m.shape}")
     i = _first_unbounded(m)
@@ -106,36 +105,29 @@ def as_density_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def as_float(x, what: str) -> float:
-    """``float(x)``; an integer too large for a double is an InputError naming ``what``."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise InputError(f"{what}: expected a finite number, got an integer too large") from None
-
-
 def check_weights(weights: Iterable[float], where: str = "") -> list[float]:
-    """Mixture weights as floats, each finite and >= 0, summing to 1 within ``STATE_TOL``.
+    """Mixture weights as floats, each >= 0, summing to 1 within ``STATE_TOL``.
 
+    ``as_float`` rejects a weight that is not finite; this checks only the range.
     ``where``, the JSON path of a ``mix``, prefixes messages with the offending field.
     """
     weights = [as_float(w, f"weight {i}") for i, w in enumerate(weights)]
     for i, w in enumerate(weights):
-        if not (math.isfinite(w) and w >= 0.0):
+        if w < 0.0:
             at = f"{where}.parts[{i}].weight: " if where else ""
-            why = "not finite" if not math.isfinite(w) else "negative"
-            raise InputError(f"{at}weight {i} = {w} is {why}")
+            raise InputError(f"{at}weight {i} = {w} is negative")
     if abs(sum(weights) - 1.0) > STATE_TOL:
         raise InputError(f"{where + ': ' if where else ''}weights sum to {sum(weights)}, not 1")
     return weights
 
 
 def convex_mix(parts: Iterable[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Probabilistic mixture of density matrices."""
+    """Probabilistic mixture of density matrices; a non-finite part fails the entry check."""
     parts = list(parts)
     out = np.zeros((DIM, DIM), dtype=np.complex128)
-    for w, (_, rho) in zip(check_weights(w for w, _ in parts), parts):
-        out += w * np.asarray(rho, dtype=np.complex128)
+    with np.errstate(all="ignore"):  # w * (inf+0j) has a NaN imaginary part
+        for i, (w, (_, rho)) in enumerate(zip(check_weights(w for w, _ in parts), parts)):
+            out += w * as_complex_array(rho, f"part {i}")
     return as_density_matrix(out)
 
 
@@ -210,7 +202,6 @@ def _mix_of(*parts):
 
 
 def _kye(a):
-    a = float(a)
     if a < 0.0:
         raise InputError(f"a={a!r} must be >= 0")
     m = np.diag([4 + a, a, a, a, a, a, a, 4 + a]).astype(np.complex128)
@@ -255,9 +246,6 @@ def catalog(name: str, *params: float) -> StateSpec:
             f"{key}: expected {len(param_names)} parameter(s) {param_names}, got {len(params)}"
         )
     values = tuple(as_float(p, f"{key}: {pname}") for pname, p in zip(param_names, params))
-    for pname, v in zip(param_names, values):
-        if not math.isfinite(v):
-            raise InputError(f"{key}: {pname}={v!r} is not finite")
     body = _at(key, _CATALOG[key][1], *values)
     return replace(body, name=key, params=values)
 
@@ -298,7 +286,7 @@ def _realise(spec: StateSpec) -> np.ndarray:
     if spec.amplitudes is not None:
         return _pure_density(tuple(spec.amplitudes)).copy()
     if spec.matrix is not None:
-        return as_density_matrix(np.asarray(spec.matrix, dtype=np.complex128))
+        return as_density_matrix(spec.matrix)
     if spec.parts is not None:
         return convex_mix((w, to_density(s)) for w, s in spec.parts)
     raise InputError(_NO_BODY)
@@ -312,20 +300,11 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _finite(x, path) -> float:
-    """``x`` as a float; ``json`` decodes NaN, Infinity and integers too large for
-    a double, which are rejected here."""
-    x = as_float(x, path)
-    if not math.isfinite(x):
-        raise InputError(f"{path}: expected a finite number, got {x!r}")
-    return x
-
-
 def _parse_complex(obj, path):
     if _is_number(obj):
-        return complex(_finite(obj, path), 0.0)
+        return complex(as_float(obj, path), 0.0)
     if isinstance(obj, list) and len(obj) == 2 and all(_is_number(x) for x in obj):
-        return complex(_finite(obj[0], f"{path}[0]"), _finite(obj[1], f"{path}[1]"))
+        return complex(as_float(obj[0], f"{path}[0]"), as_float(obj[1], f"{path}[1]"))
     raise InputError(f"{path}: expected a number or a [re, im] pair")
 
 
@@ -340,7 +319,7 @@ def _parse_real_grid(obj, path):
         for j, x in enumerate(row):
             if not _is_number(x):
                 raise InputError(f"{path}[{i}][{j}]: expected a number")
-            _finite(x, f"{path}[{i}][{j}]")
+            as_float(x, f"{path}[{i}][{j}]")
     return np.asarray(obj, dtype=float)
 
 
@@ -399,10 +378,9 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
             ppath = f"{path}.mix.parts[{i}]"
             if not isinstance(part, dict) or set(part) != {"weight", "state"}:
                 raise InputError(f"{ppath}: expected an object with 'weight' and 'state'")
-            w = part["weight"]
-            if not _is_number(w):
+            if not _is_number(part["weight"]):
                 raise InputError(f"{ppath}.weight: expected a number")
-            w = _finite(w, f"{ppath}.weight")
+            w = as_float(part["weight"], f"{ppath}.weight")
             out.append((w, spec_from_obj(part["state"], f"{ppath}.state", depth + 1)))
         check_weights((w for w, _ in out), f"{path}.mix")
         return StateSpec(parts=tuple(out))
@@ -416,7 +394,7 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
     if not isinstance(params, list) or not all(_is_number(p) for p in params):
         raise InputError(f"{path}.catalog.params: expected a list of numbers")
     return _at(f"{path}.catalog", catalog, body["name"],
-               *(_finite(p, f"{path}.catalog.params[{i}]") for i, p in enumerate(params)))
+               *(as_float(p, f"{path}.catalog.params[{i}]") for i, p in enumerate(params)))
 
 
 def spec_to_obj(spec: StateSpec):

@@ -1,13 +1,21 @@
-"""The package root exports the verdict API, and the README's Python API block runs."""
+"""The package root exports the verdict API, the README's Python API block runs, and
+every entry point turns a bad number into an InputError."""
 
 import ast
 import importlib
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
 import spapt
+from spapt.classify import cut_passes
+from spapt.errors import InputError
+from spapt.linalg import min_eigenvalue
+from spapt.states import (
+    StateSpec, as_density_matrix, check_weights, convex_mix, density_from_pure, pure_state,
+)
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 VERDICT_API = {
@@ -70,3 +78,60 @@ def test_readme_api_block_gives_the_values_its_comments_state():
     assert subclass == "ghz-class"
     assert ns["minima"] == pytest.approx({"A": 0.1, "B": 0.03, "C": 0.03}, abs=1e-12)
     assert label == "biseparable:A-BC"
+
+
+def amplitudes_with(bad):
+    return [bad, 0, 0, 0, 0, 0, 0, 1]
+
+
+def matrix_with(bad):
+    """I/8 as nested lists, with ``bad`` at entry (2, 5)."""
+    m = (np.eye(8) / 8.0).tolist()
+    m[2][5] = bad
+    return m
+
+
+# entry point -> (call on one bad number, the name its message starts with)
+SCALAR_ENTRY_POINTS = {
+    "catalog": (lambda x: spapt.catalog("kye", x), "kye: a"),
+    "check_weights": (lambda x: check_weights([x, 1.0]), "weight 0"),
+    "cut_passes": (lambda x: cut_passes(0.2, x), "eps"),
+    "decide_minima": (lambda x: spapt.decide_minima(dict.fromkeys("ABC", 0.2), x), "eps"),
+}
+ARRAY_ENTRY_POINTS = {
+    "pure_state": (lambda x: pure_state(amplitudes_with(x)), "amplitudes"),
+    "density_from_pure": (lambda x: density_from_pure(amplitudes_with(x)), "amplitudes"),
+    "three_tangle_pure": (lambda x: spapt.three_tangle_pure(amplitudes_with(x)), "amplitudes"),
+    "pure_subclass": (lambda x: spapt.pure_subclass(amplitudes_with(x)), "amplitudes"),
+    "to_density-pure": (lambda x: spapt.to_density(StateSpec(amplitudes=amplitudes_with(x))),
+                        "amplitudes"),
+    "to_density-matrix": (lambda x: spapt.to_density(StateSpec(matrix=matrix_with(x))), "matrix"),
+    "as_density_matrix": (lambda x: as_density_matrix(matrix_with(x)), "matrix"),
+    "convex_mix": (lambda x: convex_mix([(1.0, matrix_with(x))]), "part 0"),
+    "hermitian_eigenvalues": (lambda x: spapt.hermitian_eigenvalues(matrix_with(x)), "matrix"),
+    "min_eigenvalue": (lambda x: min_eigenvalue(matrix_with(x)), "matrix"),
+    "classify": (lambda x: spapt.classify(matrix_with(x)), "matrix"),
+    "channel_minima": (lambda x: spapt.channel_minima(matrix_with(x)), "rho"),
+    "partial_transpose": (lambda x: spapt.partial_transpose(matrix_with(x), "A"), "rho"),
+    "spa_pt": (lambda x: spapt.spa_pt(matrix_with(x), "A"), "rho"),
+}
+# maps, not validators: a NaN or infinite entry passes on to the first solve
+TRANSFORMS = {"partial_transpose", "spa_pt"}
+
+
+@pytest.mark.parametrize("bad, got", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (10**400, "an integer too large"), ("x", "'x'"),
+], ids=["nan", "inf", "-inf", "int-too-large", "str"])
+@pytest.mark.parametrize("name", [*SCALAR_ENTRY_POINTS, *ARRAY_ENTRY_POINTS])
+def test_entry_points_raise_only_input_error_for_bad_numbers(name, bad, got):
+    call, what = SCALAR_ENTRY_POINTS.get(name) or ARRAY_ENTRY_POINTS[name]
+    if name in TRANSFORMS and isinstance(bad, float):
+        assert not np.isfinite(call(bad)).all()
+        return
+    with pytest.raises(InputError) as err:
+        call(bad)
+    if name in SCALAR_ENTRY_POINTS:  # the one finite-number rule, spapt.linalg.as_float
+        assert str(err.value) == f"{what}: expected a finite number, got {got}"
+    elif not isinstance(bad, float):  # numpy cannot convert it: spapt.linalg.as_complex_array
+        assert str(err.value).startswith(f"{what}: expected an array of numbers (")
