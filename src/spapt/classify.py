@@ -102,12 +102,16 @@ def cut_passes(lam: float, eps: float) -> bool:
 
 
 def decide_minima(per_cut, eps: float = DEFAULT_EPS) -> Verdict:
-    """Apply the decision table to a mapping of cut label -> channel minimum."""
+    """Apply the decision table to a mapping of cut label -> channel minimum. Only
+    the cuts A, B, C are read; a mapping without one raises :class:`InputError`."""
+    missing = [q for q in QUBITS if q not in per_cut]
+    if missing:
+        raise InputError(f"channel minima: missing cut(s) {', '.join(missing)}")
     passing = [q for q in QUBITS if cut_passes(per_cut[q], eps)]
     if not all(math.isfinite(per_cut[q]) for q in QUBITS):
         raise NumericalFailure(f"channel minima {per_cut!r} are not all finite")
     if not passing:
-        return Verdict(GENUINE, (), THRESHOLD - max(per_cut.values()))
+        return Verdict(GENUINE, (), THRESHOLD - max(per_cut[q] for q in QUBITS))
     kind = FULLY_SEPARABLE if len(passing) == 3 else BISEPARABLE
     margin = max(0.0, min(per_cut[q] for q in passing) - THRESHOLD)
     return Verdict(kind, tuple(CUT_NAMES[q] for q in passing), margin)

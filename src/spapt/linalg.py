@@ -3,7 +3,15 @@
 Matrices are plain complex128 ``numpy.ndarray`` values, agnostic of the
 quantum layers above. The one eigensolver is a cyclic Jacobi kernel, sized for
 the 8x8 working matrices and the 64x64 operators of :mod:`spapt.spa`. It acts
-on Python rows, because numpy call overhead dominated its 8x8 rotations.
+on Python rows, because numpy call overhead dominated its 8x8 rotations. The
+rows hold Python floats when every imaginary part is zero (complex otherwise):
+complex arithmetic on zero imaginary parts rounds like real arithmetic, so
+real rows give the same spectrum, bit for bit, at less cost. The indices split
+into the connected blocks of the exactly nonzero off-diagonal pattern, and the
+sweeps run on each block's rows alone: a rotation within one block never
+touches another, so the spectrum is again the same. Every catalog state is
+real; the partial transposes of ``ghz-w`` and ``rho2`` split into blocks of at
+most three, and a 64x64 Choi operator into blocks of 8, 4 and 4 and 48 of one.
 
 Each rotation zeroes one off-diagonal pair (p, q) with the unitary
 
@@ -15,15 +23,18 @@ root of ``t^2 - 2*tau*t - 1 = 0`` with ``tau = (a[q,q] - a[p,p]) / (2*m)``.
 Past ``|tau|`` of about 1.3e154, ``tau*tau`` is inf and t is +-0: the rotation
 then only zeroes an entry over 150 orders of magnitude below its diagonal gap.
 Sweeps are cyclic threshold Jacobi (Rutishauser; Wilkinson & Reinsch, 1971): a
-pair with ``|a[p, q]| < OFFDIAG_TOL / n`` is skipped, and the sweeps stop after
-one that rotates no pair (the off-diagonal Frobenius norm is then below
-``sqrt(n(n-1)) * OFFDIAG_TOL / n < OFFDIAG_TOL``) or after ``MAX_SWEEPS``. A
+pair with ``|a[p, q]| < OFFDIAG_TOL / n`` is skipped, and a block's sweeps stop
+after one that rotates no pair (the off-diagonal Frobenius norm is then below
+``sqrt(n(n-1)) * OFFDIAG_TOL / n < OFFDIAG_TOL``) or after ``MAX_SWEEPS``. The
+floor keeps the full n in every block, so that bound still holds: entries
+between blocks are zero, and entries within one are below ``OFFDIAG_TOL / n``. A
 rotation skips an entry pair of columns or rows p, q when both entries are zero.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -65,11 +76,45 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dagger(m))))
 
 
+def _blocks(a: list) -> list[list[int]]:
+    """Ascending index lists of the connected blocks of the exactly nonzero
+    off-diagonal pattern of the Hermitian rows ``a``; each row is scanned once."""
+    index = range(len(a))
+    seen = [False] * len(a)
+    blocks = []
+    for i in index:
+        if not seen[i]:
+            seen[i] = True
+            block = [i]
+            for k in block:  # grows while it is read: a breadth-first search
+                for j in compress(index, a[k]):  # the columns of row k's nonzero entries
+                    if not seen[j]:
+                        seen[j] = True
+                        block.append(j)
+            blocks.append(sorted(block))  # ascending: pairs in the order of a full sweep
+    return blocks
+
+
 def _jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a complex Hermitian matrix by threshold Jacobi sweeps."""
-    a = np.asarray(matrix, dtype=np.complex128).tolist()
+    """Ascending eigenvalues of a complex Hermitian matrix by threshold Jacobi sweeps,
+    block by block, on rows of Python floats when every imaginary part is zero."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    rows = (m if m.imag.any() else m.real).tolist()
+    n = len(rows)
+    floor = OFFDIAG_TOL / n  # the full n, whatever the block size
+    d = [row[k].real for k, row in enumerate(rows)]
+    for block in _blocks(rows):
+        if len(block) > 1:
+            a = [[rows[i][j] for j in block] for i in block]
+            _sweep(a, floor)
+            for k, i in enumerate(block):
+                d[i] = a[k][k].real
+    return np.sort(d)
+
+
+def _sweep(a: list, floor: float) -> None:
+    """Threshold Jacobi sweeps on the Hermitian rows ``a``, in place, until one rotates no pair."""
     n = len(a)
-    floor = OFFDIAG_TOL / n
     for _ in range(MAX_SWEEPS):
         rotated = False
         for p in range(n - 1):
@@ -95,10 +140,9 @@ def _jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
                     if x or y:
                         rowp[k] = c * x + (s * ph) * y
                         rowq[k] = (-s * phc) * x + c * y
-                rowp[q] = rowq[p] = 0j
+                rowp[q] = rowq[p] = 0.0
         if not rotated:
             break
-    return np.sort([a[k][k].real for k in range(n)])
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -122,12 +122,15 @@ def check_weights(weights: Iterable[float], where: str = "") -> list[float]:
 
 
 def convex_mix(parts: Iterable[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Probabilistic mixture of density matrices; a non-finite part fails the entry check."""
+    """Probabilistic mixture of 8x8 density matrices; a non-finite part fails the entry check."""
     parts = list(parts)
     out = np.zeros((DIM, DIM), dtype=np.complex128)
     with np.errstate(all="ignore"):  # w * (inf+0j) has a NaN imaginary part
         for i, (w, (_, rho)) in enumerate(zip(check_weights(w for w, _ in parts), parts)):
-            out += w * as_complex_array(rho, f"part {i}")
+            rho = as_complex_array(rho, f"part {i}")
+            if rho.shape != (DIM, DIM):  # not broadcast: an 8-vector would fill every row
+                raise InputError(f"part {i}: shape: expected 8x8, got {rho.shape}")
+            out += w * rho
     return as_density_matrix(out)
 
 
@@ -284,7 +287,10 @@ def to_density(spec: StateSpec) -> np.ndarray:
 
 def _realise(spec: StateSpec) -> np.ndarray:
     if spec.amplitudes is not None:
-        return _pure_density(tuple(spec.amplitudes)).copy()
+        try:
+            return _pure_density(tuple(spec.amplitudes)).copy()
+        except TypeError:  # an unhashable amplitude, such as a [re, im] list: not cached
+            return density_from_pure(spec.amplitudes)
     if spec.matrix is not None:
         return as_density_matrix(spec.matrix)
     if spec.parts is not None:

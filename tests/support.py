@@ -8,13 +8,19 @@ block prescriptions, the canonical qubit-A channel output is also assembled
 entry by entry, the tangle oracle uses partial traces and concurrences,
 and the worst partial-transpose eigenvalue over inputs is searched by a
 randomized seesaw instead of read off the GHZ state (the seesaw reuses the
-library's axis swap, which the block-prescription route checks).
+library's axis swap, which the block-prescription route checks). One piece
+is the library's own earlier code, kept on purpose: the Jacobi kernel as it
+was before it split blocks and used real rows, the reference that the
+current kernel must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from spapt.linalg import MAX_SWEEPS, OFFDIAG_TOL
 from spapt.ptranspose import transpose_bits
 
 
@@ -109,6 +115,51 @@ def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:
         return np.zeros(m.shape[0])
     roots = np.roots(charpoly_coefficients(m / scale))
     return np.sort(roots.real) * scale
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue reference: the Jacobi kernel before it split blocks and used real rows
+# ---------------------------------------------------------------------------
+
+def reference_jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """The library's earlier ``_jacobi_eigvalsh``: complex rows, all n rows per rotation.
+
+    The block-by-block kernel on real rows must return the same array: rotations never
+    couple two blocks, and complex arithmetic on zero imaginary parts rounds like real
+    arithmetic.
+    """
+    a = np.asarray(matrix, dtype=np.complex128).tolist()
+    n = len(a)
+    floor = OFFDIAG_TOL / n
+    for _ in range(MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                m = abs(apq)
+                if m < floor:
+                    continue
+                rotated = True
+                rowp, rowq = a[p], a[q]
+                ph = apq / m
+                tau = (rowq[q].real - rowp[p].real) / (2.0 * m)  # Python floats: inf, no warning
+                t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                phc = ph.conjugate()
+                for row in a:  # columns p and q
+                    x, y = row[p], row[q]
+                    if x or y:
+                        row[p] = c * x + (s * phc) * y
+                        row[q] = (-s * ph) * x + c * y
+                for k, (x, y) in enumerate(zip(rowp, rowq)):  # rows p and q
+                    if x or y:
+                        rowp[k] = c * x + (s * ph) * y
+                        rowq[k] = (-s * phc) * x + c * y
+                rowp[q] = rowq[p] = 0j
+        if not rotated:
+            break
+    return np.sort([a[k][k].real for k in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,32 @@ ARRAY_ENTRY_POINTS = {
 TRANSFORMS = {"partial_transpose", "spa_pt"}
 
 
+# entry point -> (call on an input of the wrong shape, its message)
+SHAPE_ENTRY_POINTS = {
+    "pure_state": (lambda: pure_state([1, 0, 0, 0]), "expected 8 amplitudes, got (4,)"),
+    "as_density_matrix": (lambda: as_density_matrix(np.eye(4) / 4),
+                          "shape: expected 8x8, got (4, 4)"),
+    "convex_mix": (lambda: convex_mix([(0.5, np.eye(8) / 8), (0.5, np.eye(4) / 4)]),
+                   "part 1: shape: expected 8x8, got (4, 4)"),
+    # numpy would broadcast an 8-vector across all eight rows
+    "convex_mix-vector": (lambda: convex_mix([(1.0, np.full(8, 1 / 8))]),
+                          "part 0: shape: expected 8x8, got (8,)"),
+    "hermitian_eigenvalues": (lambda: spapt.hermitian_eigenvalues(np.ones(3)),
+                              "expected a non-empty square matrix, got shape (3,)"),
+    "classify": (lambda: spapt.classify(np.eye(4) / 4), "shape: expected 8x8, got (4, 4)"),
+    "partial_transpose": (lambda: spapt.partial_transpose(np.eye(4) / 4, "A"),
+                          "shape: expected an 8x8 matrix, got (4, 4)"),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_ENTRY_POINTS)
+def test_entry_points_raise_input_error_naming_a_wrong_shape(name):
+    call, message = SHAPE_ENTRY_POINTS[name]
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("bad, got", [
     (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
     (10**400, "an integer too large"), ("x", "'x'"),

@@ -234,6 +234,20 @@ class TestDecisionTable:
         with pytest.raises(NumericalFailure, match="not all finite"):
             decide_minima(minima)
 
+    @pytest.mark.parametrize("minima, missing", [
+        ({"A": 0.2}, "B, C"), ({"A": 0.2, "C": 0.2}, "B"), ({}, "A, B, C"),
+    ], ids=["A", "A-C", "none"])
+    def test_missing_cut_is_named(self, minima, missing):
+        with pytest.raises(InputError) as err:
+            decide_minima(minima)
+        assert str(err.value) == f"channel minima: missing cut(s) {missing}"
+
+    def test_keys_other_than_the_cuts_are_not_read(self):
+        # a report's spa_min carries "max" beside the cuts; it must not set the margin
+        minima = {"A": 0.05, "B": 0.04, "C": 0.03}
+        assert decide_minima(dict(minima, max=0.09)) == decide_minima(minima)
+        assert decide_minima(minima).margin == pytest.approx(0.05)
+
     def test_label(self):
         assert Verdict(GENUINE, (), 0.1).label == "genuine-entangled"
         assert Verdict(FULLY_SEPARABLE, ("A-BC", "B-AC", "C-AB"), 0.0).label == "fully-separable"

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spapt.linalg import dagger, hermitian_eigenvalues, min_eigenvalue
+from spapt.linalg import OFFDIAG_TOL, _jacobi_eigvalsh, dagger, hermitian_eigenvalues, min_eigenvalue
 from spapt.errors import InputError, NumericalFailure
 from spapt.states import density_from_pure, ket
 from spapt.ptranspose import partial_transpose
-from support import charpoly_eigenvalues, random_complex, random_hermitian
+from support import (
+    charpoly_eigenvalues, random_complex, random_hermitian, reference_jacobi_eigvalsh,
+)
 
 
 def ghz_pt_a():
@@ -186,6 +188,88 @@ class TestHermitianEigenvalues:
                 np.sort(p / 8.0 + (1.0 - p) * hermitian_eigenvalues(h)),
                 atol=1e-12,
             )
+
+
+def same_as_reference(h):
+    """The kernel returns exactly the array of the reference kernel, blocks found or not."""
+    h = np.asarray(h, dtype=np.complex128)
+    assert np.array_equal(_jacobi_eigvalsh(h), reference_jacobi_eigvalsh(h))
+
+
+def real_part(h, rng):
+    """``h.real`` as complex, each imaginary part +0.0 or -0.0 at random."""
+    out = h.real.astype(np.complex128)
+    out.imag = np.where(rng.random(h.shape) < 0.5, -0.0, 0.0)
+    return out
+
+
+class TestBlockKernel:
+    """Blocks of the nonzero pattern and real rows leave every result bit for bit as the
+    reference kernel's (complex rows, every rotation across all n rows)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.booleans())
+    def test_masked_8x8(self, seed, keep, real):
+        h = masked_hermitian(seed, 8, keep)
+        same_as_reference(h.real if real else h)
+
+    @settings(max_examples=3, deadline=None)  # the reference takes about 1 s on a dense 64x64
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.1), st.booleans())
+    def test_masked_64x64(self, seed, keep, real):
+        # from many blocks at keep near 0 to one block with about 6 entries a row
+        h = masked_hermitian(seed, 64, keep)
+        same_as_reference(h.real if real else h)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           st.booleans())
+    def test_permuted_block_diagonal(self, seed, sizes, real):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        h = np.zeros((n, n), dtype=np.complex128)
+        start = 0
+        for size in sizes:
+            h[start:start + size, start:start + size] = random_hermitian(rng, size)
+            start += size
+        perm = rng.permutation(n)
+        same_as_reference((h.real if real else h)[np.ix_(perm, perm)])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-300, 0.999), st.booleans())
+    def test_blocks_joined_below_the_floor(self, seed, fraction, real):
+        # the joining pair is nonzero, so one block, but below OFFDIAG_TOL / n for the
+        # full n = 8, so never rotated itself
+        rng = np.random.default_rng(seed)
+        h = np.zeros((8, 8), dtype=np.complex128)
+        h[:3, :3] = random_hermitian(rng, 3)
+        h[3:, 3:] = random_hermitian(rng, 5)
+        h[2, 6] = h[6, 2] = fraction * OFFDIAG_TOL / 8
+        same_as_reference(h.real if real else h)
+
+    @pytest.mark.parametrize("fraction", [1.0, 2.0, 3.999])
+    def test_floor_is_set_by_the_full_size(self, fraction):
+        # a 2x2 block of equal diagonals in an 8x8: its pair, at or above OFFDIAG_TOL / 8
+        # but below OFFDIAG_TOL / 2, is rotated, which splits the diagonal by 2x
+        x = fraction * OFFDIAG_TOL / 8
+        h = np.diag(np.arange(8.0)).astype(np.complex128)
+        h[5, 5] = h[3, 3]
+        h[3, 5] = h[5, 3] = x
+        w = _jacobi_eigvalsh(h)
+        assert w[3] != w[4] and w[4] - w[3] == pytest.approx(2 * x, rel=1e-2)
+        same_as_reference(h)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_real_with_negative_zero_imaginary_parts(self, seed, keep):
+        rng = np.random.default_rng(seed)
+        h = real_part(masked_hermitian(seed, 8, keep), rng)
+        assert not h.imag.any() and np.signbit(h.imag).any()
+        same_as_reference(h)
+
+    @given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150))
+    def test_1x1(self, x, y):
+        same_as_reference([[x]])
+        same_as_reference([[complex(x, y)]])
 
 
 class TestMinEigenvalue:

@@ -205,6 +205,14 @@ class TestPartCache:
             assert first is not second
             np.testing.assert_array_equal(first, second)
 
+    def test_unhashable_amplitudes_are_checked_uncached(self):
+        # the cache key cannot hold a [re, im] list or a numpy array, so such amplitudes
+        # go to pure_state directly: an InputError, or the same density as the cached path
+        with pytest.raises(InputError, match=r"^expected 8 amplitudes, got \(16,\)$"):
+            to_density(StateSpec(amplitudes=[[1, 0]] * 8))
+        arrays = StateSpec(amplitudes=[np.array(x) for x in ket("010")])
+        np.testing.assert_array_equal(to_density(arrays), to_density(StateSpec(amplitudes=ket("010"))))
+
     def test_writing_a_realised_part_leaves_later_mixtures_unchanged(self):
         specs = {key: catalog(*key) for key in (("ghz-w", 0.3), ("rho2", 0.2, 0.3))}
         before = {key: to_density(spec) for key, spec in specs.items()}
