@@ -22,6 +22,7 @@ another weight only rescales ``eps`` and decides nothing new.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InputError, NumericalFailure
@@ -101,19 +102,28 @@ def cut_passes(lam: float, eps: float) -> bool:
     return lam >= THRESHOLD - eps
 
 
+def _real_minimum(lam, q: str) -> float:
+    """Cut ``q``'s minimum as a float, NaN or infinite if it is; not a real number: InputError."""
+    what = f"channel minima: cut {q}"
+    if not isinstance(lam, numbers.Real):
+        raise InputError(f"{what}: expected a real number, got {lam!r}")
+    return float(lam) if lam != lam or abs(lam) == math.inf else as_float(lam, what)
+
+
 def decide_minima(per_cut, eps: float = DEFAULT_EPS) -> Verdict:
-    """Apply the decision table to a mapping of cut label -> channel minimum. Only
-    the cuts A, B, C are read; a mapping without one raises :class:`InputError`."""
+    """Apply the decision table to a mapping of cut label -> channel minimum. Only the cuts
+    A, B, C are read; one missing or not a real number raises :class:`InputError`."""
     missing = [q for q in QUBITS if q not in per_cut]
     if missing:
         raise InputError(f"channel minima: missing cut(s) {', '.join(missing)}")
-    passing = [q for q in QUBITS if cut_passes(per_cut[q], eps)]
-    if not all(math.isfinite(per_cut[q]) for q in QUBITS):
+    lams = {q: _real_minimum(per_cut[q], q) for q in QUBITS}
+    passing = [q for q in QUBITS if cut_passes(lams[q], eps)]
+    if not all(map(math.isfinite, lams.values())):
         raise NumericalFailure(f"channel minima {per_cut!r} are not all finite")
     if not passing:
-        return Verdict(GENUINE, (), THRESHOLD - max(per_cut[q] for q in QUBITS))
+        return Verdict(GENUINE, (), THRESHOLD - max(lams.values()))
     kind = FULLY_SEPARABLE if len(passing) == 3 else BISEPARABLE
-    margin = max(0.0, min(per_cut[q] for q in passing) - THRESHOLD)
+    margin = max(0.0, min(lams[q] for q in passing) - THRESHOLD)
     return Verdict(kind, tuple(CUT_NAMES[q] for q in passing), margin)
 
 

@@ -72,9 +72,7 @@ def build_report(spec, eps: float = DEFAULT_EPS, want_tangle: bool = False) -> d
     started = time.perf_counter()
     # first, so that a solver failure names its cut; the same solves then cannot fail
     minima = channel_minima(rho)
-    pt_spectra = {
-        q: [float(x) for x in hermitian_eigenvalues(partial_transpose(rho, q))] for q in QUBITS
-    }
+    pt_spectra = {q: hermitian_eigenvalues(partial_transpose(rho, q)).tolist() for q in QUBITS}
     verdict = decide_minima(minima, eps)
     report = {
         "input": spec_to_obj(spec),

@@ -66,14 +66,9 @@ def as_complex_array(x, what: str) -> np.ndarray:
         raise InputError(f"{what}: expected an array of numbers ({exc})") from None
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    return float(np.max(np.abs(m - dagger(m))))
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def _blocks(a: list) -> list[list[int]]:
@@ -95,10 +90,9 @@ def _blocks(a: list) -> list[list[int]]:
     return blocks
 
 
-def _jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a complex Hermitian matrix by threshold Jacobi sweeps,
+def _jacobi_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a complex128 Hermitian array by threshold Jacobi sweeps,
     block by block, on rows of Python floats when every imaginary part is zero."""
-    m = np.asarray(matrix, dtype=np.complex128)
     rows = (m if m.imag.any() else m.real).tolist()
     n = len(rows)
     floor = OFFDIAG_TOL / n  # the full n, whatever the block size
@@ -164,7 +158,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     defect = hermiticity_defect(m)
     if not defect <= HERMITICITY_TOL:
         raise InputError(f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.3e}")
-    h = m / 2.0 + dagger(m) / 2.0  # halves first: m + dagger(m) overflows near 1e308
+    h = m / 2.0 + m.conj().T / 2.0  # halves first: m + m.conj().T overflows near 1e308
     w = _jacobi_eigvalsh(h)
     tr2 = float(np.vdot(h, h).real)  # sum of |h_ij|^2, the trace of h @ h
     bound = HERMITICITY_TOL * max(tr2, 1.0)  # tr2 first: a NaN tr2 gives a NaN bound

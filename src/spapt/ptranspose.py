@@ -27,9 +27,9 @@ def qubit_index(q: str) -> int:
 
 
 def transpose_bits(m: np.ndarray, num_qubits: int, bit: int) -> np.ndarray:
-    """Swap one qubit's bit between row and column indices of a 2^n matrix."""
+    """Swap one qubit's bit between row and column indices of a 2^n x 2^n array."""
     dim = 2 ** num_qubits
-    t = np.asarray(m, dtype=np.complex128).reshape((2,) * (2 * num_qubits))
+    t = m.reshape((2,) * (2 * num_qubits))
     axes = list(range(2 * num_qubits))
     axes[bit], axes[num_qubits + bit] = axes[num_qubits + bit], axes[bit]
     return np.ascontiguousarray(t.transpose(axes)).reshape(dim, dim)

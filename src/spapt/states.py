@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_complex_array, as_float, dagger, hermiticity_defect, min_eigenvalue
+from .linalg import as_complex_array, as_float, hermiticity_defect, min_eigenvalue
 
 STATE_TOL = 1e-10  # norm, weights, trace, PSD minimum; classify and cli reuse it
 RAW_HERM_TOL = 1e-8
@@ -95,7 +95,7 @@ def as_density_matrix(m: np.ndarray) -> np.ndarray:
     defect = hermiticity_defect(m)
     if defect > RAW_HERM_TOL:
         raise InputError(f"hermitian: defect {defect:.3e}")
-    m = (m + dagger(m)) / 2.0
+    m = (m + m.conj().T) / 2.0
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > STATE_TOL:
         raise InputError(f"trace: trace {tr!r}")
@@ -361,11 +361,7 @@ def spec_from_obj(obj, path: str = "$", depth: int = 0) -> StateSpec:
         if not isinstance(body, dict) or not set(body) <= {"re", "im"} or "re" not in body:
             raise InputError(f"{path}.matrix: expected an object with 're' (and optional 'im')")
         re = _parse_real_grid(body["re"], f"{path}.matrix.re")
-        im = (
-            _parse_real_grid(body["im"], f"{path}.matrix.im")
-            if "im" in body
-            else np.zeros((DIM, DIM))
-        )
+        im = _parse_real_grid(body["im"], f"{path}.matrix.im") if "im" in body else 0.0
         spec = _matrix(re + 1j * im)
         _at(f"{path}.matrix", to_density, spec)  # hermitian/trace/PSD, at parse time
         return spec

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from spapt.linalg import MAX_SWEEPS, OFFDIAG_TOL
 from spapt.ptranspose import transpose_bits
@@ -296,6 +297,31 @@ def seesaw_worst_pt_min(bit: int, restarts: int = 12, iters: int = 400) -> float
             prev = val
         best = min(best, val)
     return best
+
+
+# ---------------------------------------------------------------------------
+# catalog parameters
+# ---------------------------------------------------------------------------
+
+_UNIT = st.floats(0.0, 1.0)
+_ANGLE = st.floats(0.0, 2.0 * math.pi)
+_CIRCLE = st.builds(lambda t: (math.cos(t), math.sin(t)), _ANGLE)
+_SPHERE = st.builds(lambda t, p: (math.sin(t) * math.cos(p), math.sin(t) * math.sin(p),
+                                  math.cos(t)), _ANGLE, _ANGLE)
+_WEIGHT = _UNIT.map(lambda q: (q,))
+
+# Parameter tuples (Python floats) of every catalog family inside its domain of
+# states: unit amplitude vectors, mixture weights in [0, 1] (rho2's two summing
+# to at most 1), and Kye's a from 2 on, where its matrix becomes PSD.
+CATALOG_PARAMS = {
+    "ghz": _CIRCLE, "w": _SPHERE, "g3": _SPHERE, "b2": _SPHERE,
+    "wtilde": st.just(()), "g2": st.just(()),
+    "ghz-w": _WEIGHT, "b1": _WEIGHT, "s2": _WEIGHT, "s3": _WEIGHT, "rho1": _WEIGHT,
+    "rho2": st.builds(lambda q1, f: (q1, f * (1.0 - q1)), _UNIT, _UNIT),
+    "kye": st.floats(2.0, 1e300).map(lambda a: (a,)),
+}
+# the families whose catalog body is a weighted mixture of fixed parts
+MIX_FAMILIES = ("b1", "ghz-w", "rho1", "rho2", "s2", "s3")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ VERDICT_API = {
 MODULE_ONLY = {
     "QUBITS": "ptranspose", "StateSpec": "states", "as_density_matrix": "states",
     "catalog_names": "states", "choi_matrix": "spa", "convex_mix": "states",
-    "dagger": "linalg", "density_from_pure": "states", "ket": "states",
+    "density_from_pure": "states", "ket": "states",
     "min_choi_psd_parameter": "spa", "min_cp_parameter": "spa", "min_eigenvalue": "linalg",
     "pure_amplitudes": "states", "pure_state": "states",
 }

@@ -1,5 +1,6 @@
 """The decision engine: channel minima, verdicts, and their symmetries."""
 
+import fractions
 import importlib
 
 import numpy as np
@@ -233,6 +234,29 @@ class TestDecisionTable:
         minima = {"A": 0.05, "B": 0.05, "C": 0.05, cut: float("nan")}
         with pytest.raises(NumericalFailure, match="not all finite"):
             decide_minima(minima)
+
+    @pytest.mark.parametrize("cut", ["A", "C"])
+    @pytest.mark.parametrize("value, got", [
+        ("x", "'x'"), (None, "None"), ([1], "[1]"), (0.2j, "0.2j"),
+        (10**400, "an integer too large"), (-(10**400), "an integer too large"),
+    ], ids=["str", "None", "list", "complex", "huge-int", "huge-negative-int"])
+    def test_minimum_that_is_not_a_real_number_is_named(self, cut, value, got):
+        minima = {"A": 0.05, "B": 0.05, "C": 0.05, cut: value}
+        with pytest.raises(InputError) as err:
+            decide_minima(minima)
+        assert str(err.value).startswith(f"channel minima: cut {cut}: ")
+        assert str(err.value).endswith(f"got {got}")
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"), np.float64("nan")])
+    def test_infinite_or_numpy_nan_minimum_is_a_numerical_failure(self, value):
+        with pytest.raises(NumericalFailure, match="not all finite"):
+            decide_minima({"A": 0.05, "B": value, "C": 0.05})
+
+    def test_real_numbers_of_other_types_decide_as_floats(self):
+        minima = {"A": 0.05, "B": 0.04, "C": 0.03}
+        typed = {"A": np.float64(0.05), "B": fractions.Fraction(1, 25), "C": np.float32(0.03)}
+        assert decide_minima(typed).kind == decide_minima(minima).kind == GENUINE
+        assert decide_minima({"A": 1, "B": 0, "C": 0}).cuts == ("A-BC",)
 
     @pytest.mark.parametrize("minima, missing", [
         ({"A": 0.2}, "B, C"), ({"A": 0.2, "C": 0.2}, "B"), ({}, "A, B, C"),

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import contextlib
 import importlib
 import io
 import json
@@ -7,10 +8,13 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spapt import Verdict, catalog, classify, cli, parse_state_file, states, to_density
 from spapt.cli import build_report, main
-from spapt.states import MAX_MIX_DEPTH
+from spapt.states import MAX_MIX_DEPTH, catalog_names, catalog_param_names
+from support import CATALOG_PARAMS
 
 INV2 = 1.0 / np.sqrt(2.0)
 DATA = pathlib.Path(__file__).parent / "data"
@@ -567,6 +571,29 @@ def test_threshold_exact_states_get_one_label_on_every_path(capsys, family, grid
     assert code == 0
     from_scan = out.strip().split("\n")[1].split(",")[-1]
     assert classify(to_density(spec)).label == from_report == from_scan == label
+
+
+def test_every_catalog_family_has_in_range_parameters():
+    assert sorted(CATALOG_PARAMS) == sorted(catalog_names())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(CATALOG_PARAMS)).flatmap(
+    lambda family: st.tuples(st.just(family), CATALOG_PARAMS[family])))
+def test_scan_row_agrees_with_the_classify_report(point):
+    # a scan row's minima and verdict are the report's, cell for cell, anywhere in
+    # each family's domain (a stacked or affine scan path must keep this)
+    family, params = point
+    grid = [x for name, v in zip(catalog_param_names(family), params)
+            for x in ("--grid", f"{name}={v!r}")]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["scan", family, *grid]) == 0
+    row = out.getvalue().splitlines()[1].split(",")[len(params):]
+    report = build_report(catalog(family, *params))
+    minima = [cli._fmt_computed(report["spa_min"][k]) for k in ("A", "B", "C", "max")]
+    verdict = report["verdict"]
+    label = Verdict(verdict["kind"], tuple(verdict["cuts"]), verdict["margin"]).label
+    assert row == minima + [label]
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spapt.linalg import OFFDIAG_TOL, _jacobi_eigvalsh, dagger, hermitian_eigenvalues, min_eigenvalue
+from spapt.linalg import OFFDIAG_TOL, _jacobi_eigvalsh, hermitian_eigenvalues, min_eigenvalue
 from spapt.errors import InputError, NumericalFailure
 from spapt.states import density_from_pure, ket
 from spapt.ptranspose import partial_transpose
@@ -17,19 +17,6 @@ from support import (
 def ghz_pt_a():
     psi = (ket("000") + ket("111")) / np.sqrt(2.0)
     return partial_transpose(density_from_pure(psi), "A")
-
-
-class TestDagger:
-    def test_identity_self_adjoint(self):
-        np.testing.assert_array_equal(dagger(np.eye(8)), np.eye(8))
-
-    def test_forced_by_definition(self):
-        m = np.array([[0.0, 1j], [0.0, 0.0]])
-        np.testing.assert_array_equal(dagger(m), np.array([[0.0, 0.0], [-1j, 0.0]]))
-
-    def test_involution_on_random_8x8(self):
-        m = random_complex(np.random.default_rng(3), 8)
-        np.testing.assert_array_equal(dagger(dagger(m)), m)
 
 
 class TestKron:
@@ -286,7 +273,7 @@ class TestMinEigenvalue:
         rng = np.random.default_rng(9)
         for _ in range(20):
             g = random_complex(rng, 8)
-            assert min_eigenvalue(g @ dagger(g)) >= -1e-12
+            assert min_eigenvalue(g @ g.conj().T) >= -1e-12
 
 
 class TestIsPsd:
@@ -300,4 +287,4 @@ class TestIsPsd:
 
     def test_gram_construction(self):
         g = random_complex(np.random.default_rng(10), 8)
-        assert min_eigenvalue(g @ dagger(g) / np.trace(g @ dagger(g)).real) >= -1e-10
+        assert min_eigenvalue(g @ g.conj().T / np.trace(g @ g.conj().T).real) >= -1e-10
