@@ -110,6 +110,8 @@ def _pretty_report(report: dict, out) -> None:
 def cmd_classify(args, out) -> None:
     try:
         if args.state_file == "-":
+            if sys.stdin is None:  # the process was started with stdin closed
+                raise OSError("stdin is closed")
             text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(args.state_file, "r", encoding="utf-8") as fh:

@@ -7,11 +7,11 @@ on Python rows, because numpy call overhead dominated its 8x8 rotations. The
 rows hold Python floats when every imaginary part is zero (complex otherwise):
 complex arithmetic on zero imaginary parts rounds like real arithmetic, so
 real rows give the same spectrum, bit for bit, at less cost. The indices split
-into the connected blocks of the exactly nonzero off-diagonal pattern, and the
-sweeps run on each block's rows alone: a rotation within one block never
-touches another, so the spectrum is again the same. Every catalog state is
-real; the partial transposes of ``ghz-w`` and ``rho2`` split into blocks of at
-most three, and a 64x64 Choi operator into blocks of 8, 4 and 4 and 48 of one.
+into the connected blocks of the exactly nonzero off-diagonal pattern, and each
+block is swept in place on the full rows, at its own indices only, with no
+copy: entries between blocks are zero, so the spectrum is again the same.
+Every catalog state is real; the partial transposes of ``ghz-w`` and ``rho2``
+split into blocks of at most three, a 64x64 Choi operator into 8, 4, 4 and 48 of one.
 
 Each rotation zeroes one off-diagonal pair (p, q) with the unitary
 
@@ -34,7 +34,7 @@ rotation skips an entry pair of columns or rows p, q when both entries are zero.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -94,47 +94,40 @@ def _jacobi_eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a complex128 Hermitian array by threshold Jacobi sweeps,
     block by block, on rows of Python floats when every imaginary part is zero."""
     rows = (m if m.imag.any() else m.real).tolist()
-    n = len(rows)
-    floor = OFFDIAG_TOL / n  # the full n, whatever the block size
-    d = [row[k].real for k, row in enumerate(rows)]
-    for block in _blocks(rows):
-        if len(block) > 1:
-            a = [[rows[i][j] for j in block] for i in block]
-            _sweep(a, floor)
-            for k, i in enumerate(block):
-                d[i] = a[k][k].real
-    return np.sort(d)
+    for block in _blocks(rows):  # the floor takes the full n, whatever the block size
+        _sweep(rows, block, OFFDIAG_TOL / len(rows))
+    return np.sort([row[k].real for k, row in enumerate(rows)])
 
 
-def _sweep(a: list, floor: float) -> None:
-    """Threshold Jacobi sweeps on the Hermitian rows ``a``, in place, until one rotates no pair."""
-    n = len(a)
+def _sweep(a: list, block: list[int], floor: float) -> None:
+    """Threshold Jacobi sweeps, in place on the rows ``a`` at ``block``'s indices only."""
     for _ in range(MAX_SWEEPS):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                m = abs(apq)
-                if m < floor:
-                    continue
-                rotated = True
-                rowp, rowq = a[p], a[q]
-                ph = apq / m
-                tau = (rowq[q].real - rowp[p].real) / (2.0 * m)  # Python floats: inf, no warning
-                t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                phc = ph.conjugate()
-                for row in a:  # columns p and q
-                    x, y = row[p], row[q]
-                    if x or y:
-                        row[p] = c * x + (s * phc) * y
-                        row[q] = (-s * ph) * x + c * y
-                for k, (x, y) in enumerate(zip(rowp, rowq)):  # rows p and q
-                    if x or y:
-                        rowp[k] = c * x + (s * ph) * y
-                        rowq[k] = (-s * phc) * x + c * y
-                rowp[q] = rowq[p] = 0.0
+        for p, q in combinations(block, 2):
+            apq = a[p][q]
+            m = abs(apq)
+            if m < floor:
+                continue
+            rotated = True
+            rowp, rowq = a[p], a[q]
+            ph = apq / m
+            tau = (rowq[q].real - rowp[p].real) / (2.0 * m)  # Python floats: inf, no warning
+            t = (-1.0 if tau >= 0.0 else 1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            phc = ph.conjugate()
+            for i in block:  # columns p and q
+                row = a[i]
+                x, y = row[p], row[q]
+                if x or y:
+                    row[p] = c * x + (s * phc) * y
+                    row[q] = (-s * ph) * x + c * y
+            for k in block:  # rows p and q
+                x, y = rowp[k], rowq[k]
+                if x or y:
+                    rowp[k] = c * x + (s * ph) * y
+                    rowq[k] = (-s * phc) * x + c * y
+            rowp[q] = rowq[p] = 0.0
         if not rotated:
             break
 

@@ -198,6 +198,14 @@ class TestClassifyCommand:
         assert err.startswith("error: $: cannot read -: ")
         assert err.count("\n") == 1
 
+    def test_closed_stdin_exits_2(self, capsys, monkeypatch):
+        # a process started with its stdin closed (spapt classify - <&-) has no sys.stdin
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run_cli(["classify", "-"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: $: cannot read -: stdin is closed\n"
+
     def test_rounded_catalog_parameters_accepted(self, tmp_path, capsys):
         path = write_state(tmp_path, {"catalog": {"name": "ghz", "params": [0.7071, 0.7071]}})
         code, out, _ = run_cli(["classify", path], capsys)

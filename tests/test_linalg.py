@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spapt.linalg import OFFDIAG_TOL, _jacobi_eigvalsh, hermitian_eigenvalues, min_eigenvalue
+from spapt.linalg import (
+    OFFDIAG_TOL, _jacobi_eigvalsh, _sweep, hermitian_eigenvalues, min_eigenvalue,
+)
 from spapt.errors import InputError, NumericalFailure
-from spapt.states import density_from_pure, ket
-from spapt.ptranspose import partial_transpose
+from spapt.spa import choi_matrix, spa_pt
+from spapt.states import catalog, catalog_names, density_from_pure, ket, to_density
+from spapt.ptranspose import QUBITS, partial_transpose
 from support import (
-    charpoly_eigenvalues, random_complex, random_hermitian, reference_jacobi_eigvalsh,
+    CATALOG_PARAMS, charpoly_eigenvalues, random_complex, random_hermitian,
+    reference_jacobi_eigvalsh,
 )
 
 
@@ -177,6 +181,19 @@ class TestHermitianEigenvalues:
             )
 
 
+def permuted_block_diagonal(rng, sizes):
+    """Random Hermitian blocks of ``sizes`` down the diagonal, rows and columns then
+    permuted at random; returns the matrix and the permutation."""
+    n = sum(sizes)
+    h = np.zeros((n, n), dtype=np.complex128)
+    start = 0
+    for size in sizes:
+        h[start:start + size, start:start + size] = random_hermitian(rng, size)
+        start += size
+    perm = rng.permutation(n)
+    return h[np.ix_(perm, perm)], perm
+
+
 def same_as_reference(h):
     """The kernel returns exactly the array of the reference kernel, blocks found or not."""
     h = np.asarray(h, dtype=np.complex128)
@@ -211,15 +228,49 @@ class TestBlockKernel:
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 5), min_size=1, max_size=6),
            st.booleans())
     def test_permuted_block_diagonal(self, seed, sizes, real):
+        h, _ = permuted_block_diagonal(np.random.default_rng(seed), sizes)
+        same_as_reference(h.real if real else h)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           st.booleans())
+    def test_sweep_changes_only_its_block(self, seed, sizes, real):
+        # in place on the full rows: every entry outside block x block keeps its value
+        # and the sign of its zero, and the block ends with its off-diagonal below floor
         rng = np.random.default_rng(seed)
-        n = sum(sizes)
-        h = np.zeros((n, n), dtype=np.complex128)
-        start = 0
-        for size in sizes:
-            h[start:start + size, start:start + size] = random_hermitian(rng, size)
-            start += size
-        perm = rng.permutation(n)
-        same_as_reference((h.real if real else h)[np.ix_(perm, perm)])
+        h, perm = permuted_block_diagonal(rng, sizes)
+        for part in (h.real, h.imag):
+            zero = part == 0.0
+            part[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+        h = h.real if real else h
+        n = len(h)
+        k = int(rng.integers(len(sizes)))
+        block = [i for i, j in enumerate(perm) if sum(sizes[:k]) <= j < sum(sizes[:k + 1])]
+        rows = h.tolist()
+        floor = OFFDIAG_TOL / n
+        _sweep(rows, block, floor)
+        after = np.array(rows)
+        inside = np.zeros((n, n), dtype=bool)
+        inside[np.ix_(block, block)] = True
+        assert np.array_equal(after[~inside], h[~inside])
+        for got, want in ((after.real, h.real), (after.imag, h.imag)):
+            assert np.array_equal(np.signbit(got[~inside]), np.signbit(want[~inside]))
+        assert (np.abs(after[inside & ~np.eye(n, dtype=bool)]) < floor).all()
+
+    @pytest.mark.parametrize("q", QUBITS)
+    def test_choi_operator(self, q):
+        same_as_reference(choi_matrix(q))
+
+    @pytest.mark.parametrize("name", catalog_names())
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_catalog_partial_transposes(self, name, data):
+        # the 8x8 matrices that classify and scan solve: each cut's partial transpose
+        # and channel output of a catalog state at in-range parameters
+        rho = to_density(catalog(name, *data.draw(CATALOG_PARAMS[name])))
+        for q in QUBITS:
+            same_as_reference(partial_transpose(rho, q))
+            same_as_reference(spa_pt(rho, q))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-300, 0.999), st.booleans())
