@@ -1,6 +1,6 @@
 """Verdicts from the three canonical channel minima against the 1/10 threshold.
 
-Decision table (t = 1/10, comparisons within ``eps``):
+Decision table (t = 1/10, comparisons within ``0 <= eps < t``):
 
     all three cuts >= t      -> fully separable (necessary-condition based)
     exactly one cut >= t     -> biseparable in that cut
@@ -88,23 +88,31 @@ def channel_minima(rho) -> dict[str, float]:
     return minima
 
 
-def cut_passes(lam: float, eps: float) -> bool:
+def _pass_floor(eps) -> float:
+    """``1/10 - eps``, the lowest passing minimum, for a finite ``eps`` in [0, 1/10): every
+    minimum lies in [0, 0.3], so an ``eps`` of 1/10 would pass every cut of every state."""
+    eps = as_float(eps, "eps")
+    if not 0.0 <= eps < THRESHOLD:
+        raise InputError(f"eps={eps!r} must lie in [0, {THRESHOLD!r})")
+    return THRESHOLD - eps
+
+
+def cut_passes(lam, eps: float) -> bool:
     """True when the channel minimum ``lam`` of a cut reaches 1/10 within ``eps``.
 
     Passing is only consistent with separability across the cut; failing
-    certifies entanglement across it. ``as_float`` rejects an ``eps`` that is
-    not finite (NaN would fail every threshold comparison and infinity pass
-    every one); a negative one raises :class:`InputError` here.
+    certifies entanglement across it. A ``lam`` that is not a real number, or an
+    ``eps`` outside [0, 1/10), raises :class:`InputError`; a NaN or infinite ``lam``
+    raises :class:`NumericalFailure` (NaN would fail the comparison, +inf pass it).
     """
-    eps = as_float(eps, "eps")
-    if eps < 0.0:
-        raise InputError(f"eps={eps!r} must be finite and >= 0")
-    return lam >= THRESHOLD - eps
+    lam = _real_minimum(lam, "channel minimum")
+    if not math.isfinite(lam):
+        raise NumericalFailure(f"channel minimum {lam!r} is not finite")
+    return lam >= _pass_floor(eps)
 
 
-def _real_minimum(lam, q: str) -> float:
-    """Cut ``q``'s minimum as a float, NaN or infinite if it is; not a real number: InputError."""
-    what = f"channel minima: cut {q}"
+def _real_minimum(lam, what: str) -> float:
+    """``lam`` as a float, NaN or infinite if it is; not a real number: InputError."""
     if not isinstance(lam, numbers.Real):
         raise InputError(f"{what}: expected a real number, got {lam!r}")
     return float(lam) if lam != lam or abs(lam) == math.inf else as_float(lam, what)
@@ -116,10 +124,11 @@ def decide_minima(per_cut, eps: float = DEFAULT_EPS) -> Verdict:
     missing = [q for q in QUBITS if q not in per_cut]
     if missing:
         raise InputError(f"channel minima: missing cut(s) {', '.join(missing)}")
-    lams = {q: _real_minimum(per_cut[q], q) for q in QUBITS}
-    passing = [q for q in QUBITS if cut_passes(lams[q], eps)]
+    lams = {q: _real_minimum(per_cut[q], f"channel minima: cut {q}") for q in QUBITS}
     if not all(map(math.isfinite, lams.values())):
         raise NumericalFailure(f"channel minima {per_cut!r} are not all finite")
+    floor = _pass_floor(eps)  # cut_passes's rule, on minima checked above
+    passing = [q for q in QUBITS if lams[q] >= floor]
     if not passing:
         return Verdict(GENUINE, (), THRESHOLD - max(lams.values()))
     kind = FULLY_SEPARABLE if len(passing) == 3 else BISEPARABLE

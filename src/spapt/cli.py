@@ -307,7 +307,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="classify a state from a JSON document")
     p_cls.add_argument("state_file", help="path to a JSON state document, or - for stdin")
     p_cls.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                       help="threshold comparison tolerance")
+                       help="threshold comparison tolerance, in [0, 0.1)")
     p_cls.add_argument("--tangle", action="store_true",
                        help="include the pure-state three-tangle")
     p_cls.add_argument("--pretty", action="store_true",
@@ -322,7 +322,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("family", help=f"one of {', '.join(catalog_names())}")
     p_scan.add_argument("--grid", action="append", metavar="NAME=LO:HI:N",
                         help="grid for one parameter (also NAME=v1,v2,... or NAME=value)")
-    p_scan.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p_scan.add_argument("--eps", type=float, default=DEFAULT_EPS, help="as for classify")
     p_scan.add_argument("--tangle", action="store_true",
                         help="append the three-tangle column (pure families only)")
     p_scan.set_defaults(fn=cmd_scan)

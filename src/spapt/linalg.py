@@ -27,8 +27,7 @@ pair with ``|a[p, q]| < OFFDIAG_TOL / n`` is skipped, and a block's sweeps stop
 after one that rotates no pair (the off-diagonal Frobenius norm is then below
 ``sqrt(n(n-1)) * OFFDIAG_TOL / n < OFFDIAG_TOL``) or after ``MAX_SWEEPS``. The
 floor keeps the full n in every block, so that bound still holds: entries
-between blocks are zero, and entries within one are below ``OFFDIAG_TOL / n``. A
-rotation skips an entry pair of columns or rows p, q when both entries are zero.
+between blocks are zero, and entries within one are below ``OFFDIAG_TOL / n``.
 """
 
 from __future__ import annotations
@@ -119,14 +118,12 @@ def _sweep(a: list, block: list[int], floor: float) -> None:
             for i in block:  # columns p and q
                 row = a[i]
                 x, y = row[p], row[q]
-                if x or y:
-                    row[p] = c * x + (s * phc) * y
-                    row[q] = (-s * ph) * x + c * y
+                row[p] = c * x + (s * phc) * y
+                row[q] = (-s * ph) * x + c * y
             for k in block:  # rows p and q
                 x, y = rowp[k], rowq[k]
-                if x or y:
-                    rowp[k] = c * x + (s * ph) * y
-                    rowq[k] = (-s * phc) * x + c * y
+                rowp[k] = c * x + (s * ph) * y
+                rowq[k] = (-s * phc) * x + c * y
             rowp[q] = rowq[p] = 0.0
         if not rotated:
             break

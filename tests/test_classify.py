@@ -148,13 +148,17 @@ class TestClassify:
             classify(np.diag([1.125, -0.875] + [0.125] * 6))
 
     def test_eps_must_be_nonnegative(self):
-        with pytest.raises(InputError, match=r"eps=-1.0 must be finite and >= 0"):
+        with pytest.raises(InputError, match=r"eps=-1.0 must lie in \[0, 0.1\)"):
             classify(np.eye(8, dtype=complex) / 8.0, eps=-1.0)
 
     @pytest.mark.parametrize("eps, message", [
         pytest.param(float("nan"), "eps: expected a finite number, got nan", id="nan"),
         pytest.param(float("inf"), "eps: expected a finite number, got inf", id="inf"),
-        pytest.param(-1.0, "eps=-1.0 must be finite and >= 0", id="-1.0"),
+        pytest.param(-1.0, "eps=-1.0 must lie in [0, 0.1)", id="-1.0"),
+        # every channel minimum lies in [0, 0.3], so an eps of 1/10 or more passes
+        # the GHZ cuts, whose minima are 0
+        pytest.param(0.1, "eps=0.1 must lie in [0, 0.1)", id="0.1"),
+        pytest.param(0.2, "eps=0.2 must lie in [0, 0.1)", id="0.2"),
         pytest.param(10**400, "eps: expected a finite number, got an integer too large",
                      id="int-too-large"),
     ])
@@ -234,6 +238,24 @@ class TestDecisionTable:
         minima = {"A": 0.05, "B": 0.05, "C": 0.05, cut: float("nan")}
         with pytest.raises(NumericalFailure, match="not all finite"):
             decide_minima(minima)
+
+    @pytest.mark.parametrize("lam, error, message", [
+        (float("nan"), NumericalFailure, "channel minimum nan is not finite"),
+        (np.float64("nan"), NumericalFailure, "channel minimum nan is not finite"),
+        (float("inf"), NumericalFailure, "channel minimum inf is not finite"),
+        (-float("inf"), NumericalFailure, "channel minimum -inf is not finite"),
+        (10**400, InputError,
+         "channel minimum: expected a finite number, got an integer too large"),
+        ("x", InputError, "channel minimum: expected a real number, got 'x'"),
+        (None, InputError, "channel minimum: expected a real number, got None"),
+        (0.2j, InputError, "channel minimum: expected a real number, got 0.2j"),
+    ], ids=["nan", "numpy-nan", "inf", "-inf", "huge-int", "str", "None", "complex"])
+    def test_cut_passes_checks_the_minimum(self, lam, error, message):
+        # decide_minima's rule: unchecked, NaN would read as "entangled across
+        # the cut" and +inf as "consistent with separability"
+        with pytest.raises(error) as err:
+            cut_passes(lam, DEFAULT_EPS)
+        assert type(err.value) is error and str(err.value) == message
 
     @pytest.mark.parametrize("cut", ["A", "C"])
     @pytest.mark.parametrize("value, got", [

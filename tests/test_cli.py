@@ -29,7 +29,9 @@ CLASSIFY_MODULE = importlib.import_module("spapt.classify")
 # --eps values that exit 2, and the message each gives
 BAD_EPS = {"nan": "eps: expected a finite number, got nan",
            "inf": "eps: expected a finite number, got inf",
-           "-1": "eps=-1.0 must be finite and >= 0"}
+           "-1": "eps=-1.0 must lie in [0, 0.1)",
+           "0.1": "eps=0.1 must lie in [0, 0.1)",
+           "0.2": "eps=0.2 must lie in [0, 0.1)"}
 # a partial-transpose minimum of 2.0 gives the channel minimum 0.1 + 0.2*2.0, which
 # is 0.4999999999999999 in doubles because 1 - 4/5 rounds below 0.2
 OUT_OF_RANGE = "numerical failure: channel minimum of cut A, 0.4999999999999999, outside"

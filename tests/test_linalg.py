@@ -56,8 +56,8 @@ class TestHermitianEigenvalues:
     def test_matches_lapack_8x8(self):
         rng = np.random.default_rng(11)
         inputs = [random_hermitian(rng, 8) for _ in range(25)]
-        # a rotation skips an entry pair only when both entries are zero, so
-        # inputs with exact zeros, permuted, must match too
+        # exact zeros split the indices into blocks that the kernel sweeps one by
+        # one, so inputs with exact zeros, permuted, must match too
         for density in (0.2, 0.4, 0.6):
             for _ in range(25):
                 h = random_hermitian(rng, 8)
@@ -195,9 +195,12 @@ def permuted_block_diagonal(rng, sizes):
 
 
 def same_as_reference(h):
-    """The kernel returns exactly the array of the reference kernel, blocks found or not."""
+    """The kernel returns exactly the array of the reference kernel, blocks found or not,
+    the sign of each zero eigenvalue included (``array_equal`` counts -0.0 equal to 0.0)."""
     h = np.asarray(h, dtype=np.complex128)
-    assert np.array_equal(_jacobi_eigvalsh(h), reference_jacobi_eigvalsh(h))
+    got, want = _jacobi_eigvalsh(h), reference_jacobi_eigvalsh(h)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def real_part(h, rng):
