@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import InputError, NumericalFailure
@@ -43,13 +44,11 @@ FULLY_SEPARABLE = "fully-separable"
 class Verdict:
     """Classification outcome.
 
-    ``cuts`` lists the cut names whose channel minimum reached the threshold
-    (empty for genuine entanglement, all three for fully separable). The
-    ``margin`` is the distance of the deciding eigenvalue from the
-    threshold, in the direction that supports the verdict; it is never
-    negative (a cut that passes only within ``eps`` gives 0).
-    ``necessity_caveat`` is always True; separability verdicts rest on a
-    necessary condition only.
+    ``cuts`` lists the cuts whose channel minimum reached 1/10 within ``eps`` (empty for
+    genuine entanglement, all three for fully separable): whether one cut passes. ``margin``
+    is the distance of the deciding eigenvalue from the threshold on the side that supports
+    the verdict, never negative (a cut passing only within ``eps`` gives 0). Separability
+    verdicts rest on a necessary condition only, so ``necessity_caveat`` is always True.
     """
 
     kind: str
@@ -88,29 +87,6 @@ def channel_minima(rho) -> dict[str, float]:
     return minima
 
 
-def _pass_floor(eps) -> float:
-    """``1/10 - eps``, the lowest passing minimum, for a finite ``eps`` in [0, 1/10): every
-    minimum lies in [0, 0.3], so an ``eps`` of 1/10 would pass every cut of every state."""
-    eps = as_float(eps, "eps")
-    if not 0.0 <= eps < THRESHOLD:
-        raise InputError(f"eps={eps!r} must lie in [0, {THRESHOLD!r})")
-    return THRESHOLD - eps
-
-
-def cut_passes(lam, eps: float) -> bool:
-    """True when the channel minimum ``lam`` of a cut reaches 1/10 within ``eps``.
-
-    Passing is only consistent with separability across the cut; failing
-    certifies entanglement across it. A ``lam`` that is not a real number, or an
-    ``eps`` outside [0, 1/10), raises :class:`InputError`; a NaN or infinite ``lam``
-    raises :class:`NumericalFailure` (NaN would fail the comparison, +inf pass it).
-    """
-    lam = _real_minimum(lam, "channel minimum")
-    if not math.isfinite(lam):
-        raise NumericalFailure(f"channel minimum {lam!r} is not finite")
-    return lam >= _pass_floor(eps)
-
-
 def _real_minimum(lam, what: str) -> float:
     """``lam`` as a float, NaN or infinite if it is; not a real number: InputError."""
     if not isinstance(lam, numbers.Real):
@@ -119,16 +95,21 @@ def _real_minimum(lam, what: str) -> float:
 
 
 def decide_minima(per_cut, eps: float = DEFAULT_EPS) -> Verdict:
-    """Apply the decision table to a mapping of cut label -> channel minimum. Only the cuts
-    A, B, C are read; one missing or not a real number raises :class:`InputError`."""
+    """Apply the decision table to a mapping of cut -> channel minimum (only A, B, C are read)
+    by the one pass rule ``minimum >= 1/10 - eps``, checking the minima before ``eps``."""
+    if not isinstance(per_cut, Mapping):
+        raise InputError("channel minima: expected a mapping of cut to minimum, "
+                         f"got {type(per_cut).__name__}")
     missing = [q for q in QUBITS if q not in per_cut]
     if missing:
         raise InputError(f"channel minima: missing cut(s) {', '.join(missing)}")
     lams = {q: _real_minimum(per_cut[q], f"channel minima: cut {q}") for q in QUBITS}
     if not all(map(math.isfinite, lams.values())):
         raise NumericalFailure(f"channel minima {per_cut!r} are not all finite")
-    floor = _pass_floor(eps)  # cut_passes's rule, on minima checked above
-    passing = [q for q in QUBITS if lams[q] >= floor]
+    eps = as_float(eps, "eps")
+    if not 0.0 <= eps < THRESHOLD:
+        raise InputError(f"eps={eps!r} must lie in [0, {THRESHOLD!r})")
+    passing = [q for q in QUBITS if lams[q] >= THRESHOLD - eps]
     if not passing:
         return Verdict(GENUINE, (), THRESHOLD - max(lams.values()))
     kind = FULLY_SEPARABLE if len(passing) == 3 else BISEPARABLE

@@ -15,6 +15,7 @@ success, 1 internal numerical failure, 2 bad input (both leave stdout empty).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import json
@@ -296,6 +297,7 @@ def cmd_scan(args, out) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first call, not at import, with that call's cmd_* functions
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spapt",

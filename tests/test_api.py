@@ -5,12 +5,12 @@ import ast
 import importlib
 import inspect
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import spapt
-from spapt.classify import cut_passes
 from spapt.errors import InputError
 from spapt.linalg import min_eigenvalue
 from spapt.states import (
@@ -80,6 +80,16 @@ def test_readme_api_block_gives_the_values_its_comments_state():
     assert label == "biseparable:A-BC"
 
 
+def test_readme_names_only_what_the_package_has():
+    # every `spapt.<module>.<name>` in the README's inline code, outside fenced blocks
+    text = "".join(README.read_text(encoding="utf-8").split("```")[::2])
+    names = [name for span in re.findall(r"`([^`]+)`", text)
+             for name in re.findall(r"\bspapt\.(\w+)\.(\w+)", span)]
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"spapt.{module}"), name), f"spapt.{module}.{name}"
+
+
 def amplitudes_with(bad):
     return [bad, 0, 0, 0, 0, 0, 0, 1]
 
@@ -95,7 +105,6 @@ def matrix_with(bad):
 SCALAR_ENTRY_POINTS = {
     "catalog": (lambda x: spapt.catalog("kye", x), "kye: a"),
     "check_weights": (lambda x: check_weights([x, 1.0]), "weight 0"),
-    "cut_passes": (lambda x: cut_passes(0.2, x), "eps"),
     "decide_minima": (lambda x: spapt.decide_minima(dict.fromkeys("ABC", 0.2), x), "eps"),
 }
 ARRAY_ENTRY_POINTS = {

@@ -22,7 +22,6 @@ from spapt import (
 )
 from spapt.linalg import min_eigenvalue
 from spapt.states import density_from_pure, ket
-from spapt.classify import DEFAULT_EPS, cut_passes
 from spapt.errors import InputError, NumericalFailure
 from support import (
     placed_bell,
@@ -147,10 +146,6 @@ class TestClassify:
         with pytest.raises(InputError, match=r"^psd: minimum eigenvalue -8.750e-01$"):
             classify(np.diag([1.125, -0.875] + [0.125] * 6))
 
-    def test_eps_must_be_nonnegative(self):
-        with pytest.raises(InputError, match=r"eps=-1.0 must lie in \[0, 0.1\)"):
-            classify(np.eye(8, dtype=complex) / 8.0, eps=-1.0)
-
     @pytest.mark.parametrize("eps, message", [
         pytest.param(float("nan"), "eps: expected a finite number, got nan", id="nan"),
         pytest.param(float("inf"), "eps: expected a finite number, got inf", id="inf"),
@@ -169,7 +164,6 @@ class TestClassify:
         calls = [
             lambda: classify(rho, eps=eps),
             lambda: decide_minima({"A": 0.11, "B": 0.11, "C": 0.11}, eps=eps),
-            lambda: cut_passes(channel_minima(rho)["A"], eps),
         ]
         for call in calls:
             with pytest.raises(InputError) as err:
@@ -239,24 +233,6 @@ class TestDecisionTable:
         with pytest.raises(NumericalFailure, match="not all finite"):
             decide_minima(minima)
 
-    @pytest.mark.parametrize("lam, error, message", [
-        (float("nan"), NumericalFailure, "channel minimum nan is not finite"),
-        (np.float64("nan"), NumericalFailure, "channel minimum nan is not finite"),
-        (float("inf"), NumericalFailure, "channel minimum inf is not finite"),
-        (-float("inf"), NumericalFailure, "channel minimum -inf is not finite"),
-        (10**400, InputError,
-         "channel minimum: expected a finite number, got an integer too large"),
-        ("x", InputError, "channel minimum: expected a real number, got 'x'"),
-        (None, InputError, "channel minimum: expected a real number, got None"),
-        (0.2j, InputError, "channel minimum: expected a real number, got 0.2j"),
-    ], ids=["nan", "numpy-nan", "inf", "-inf", "huge-int", "str", "None", "complex"])
-    def test_cut_passes_checks_the_minimum(self, lam, error, message):
-        # decide_minima's rule: unchecked, NaN would read as "entangled across
-        # the cut" and +inf as "consistent with separability"
-        with pytest.raises(error) as err:
-            cut_passes(lam, DEFAULT_EPS)
-        assert type(err.value) is error and str(err.value) == message
-
     @pytest.mark.parametrize("cut", ["A", "C"])
     @pytest.mark.parametrize("value, got", [
         ("x", "'x'"), (None, "None"), ([1], "[1]"), (0.2j, "0.2j"),
@@ -288,6 +264,29 @@ class TestDecisionTable:
             decide_minima(minima)
         assert str(err.value) == f"channel minima: missing cut(s) {missing}"
 
+    @pytest.mark.parametrize("per_cut, got", [
+        ("ABC", "str"), (None, "NoneType"), (5, "int"), ([0.2, 0.2, 0.2], "list"),
+    ], ids=["str", "None", "int", "list"])
+    def test_minima_that_are_not_a_mapping_are_named(self, per_cut, got):
+        # a list of three minima would otherwise read as missing every cut
+        with pytest.raises(InputError) as err:
+            decide_minima(per_cut)
+        assert str(err.value) == (
+            f"channel minima: expected a mapping of cut to minimum, got {got}")
+
+    @pytest.mark.parametrize("minima, eps, error, message", [
+        ({"A": 0.05}, 0.2, InputError, "channel minima: missing cut(s) B, C"),
+        ({"A": "x", "B": 0.05, "C": 0.05}, float("nan"), InputError,
+         "channel minima: cut A: expected a real number, got 'x'"),
+        ({"A": 0.05, "B": float("nan"), "C": 0.05}, 0.2, NumericalFailure,
+         "channel minima {'A': 0.05, 'B': nan, 'C': 0.05} are not all finite"),
+    ], ids=["missing", "not-real", "not-finite"])
+    def test_minima_are_checked_before_eps(self, minima, eps, error, message):
+        # missing cut, then not a real number, then not finite, then eps
+        with pytest.raises(error) as err:
+            decide_minima(minima, eps)
+        assert type(err.value) is error and str(err.value) == message
+
     def test_keys_other_than_the_cuts_are_not_read(self):
         # a report's spa_min carries "max" beside the cuts; it must not set the margin
         minima = {"A": 0.05, "B": 0.04, "C": 0.03}
@@ -317,20 +316,16 @@ class TestDecisionTable:
 
 
 class TestCutCheck:
-    def test_boundary_family_passes_exactly(self):
-        rho = to_density(catalog("s3", 0.4))
-        for q in "ABC":
-            assert cut_passes(channel_minima(rho)[q], DEFAULT_EPS)
+    """``Verdict.cuts`` tells whether one cut passes."""
 
-    def test_balanced_ghz_fails_every_cut(self):
-        rho = to_density(catalog("ghz", INV2, INV2))
-        for q in "ABC":
-            assert not cut_passes(channel_minima(rho)[q], DEFAULT_EPS)
-
-    def test_maximally_mixed_passes(self):
-        mm = np.eye(8, dtype=complex) / 8.0
-        for q in "ABC":
-            assert cut_passes(channel_minima(mm)[q], DEFAULT_EPS)
+    @pytest.mark.parametrize("make_rho, cuts", [
+        (lambda: to_density(catalog("s3", 0.4)), ("A-BC", "B-AC", "C-AB")),
+        (lambda: to_density(catalog("ghz", INV2, INV2)), ()),
+        (lambda: np.eye(8, dtype=complex) / 8.0, ("A-BC", "B-AC", "C-AB")),
+    ], ids=["boundary_family_passes_exactly", "balanced_ghz_fails_every_cut",
+            "maximally_mixed_passes"])
+    def test_cuts_are_the_passing_cuts(self, make_rho, cuts):
+        assert decide_minima(channel_minima(make_rho())).cuts == cuts
 
 
 class TestSymmetries:

@@ -583,6 +583,20 @@ def test_threshold_exact_states_get_one_label_on_every_path(capsys, family, grid
     assert classify(to_density(spec)).label == from_report == from_scan == label
 
 
+def test_calls_in_one_process_keep_only_their_own_arguments(tmp_path, capsys):
+    # the parser is built once per process, so a repeated --grid or a flag of one
+    # call must not reach the next
+    assert cli.make_parser() is cli.make_parser()
+    for grid, rows in (("q=0.1", ["q", "0.1"]), ("q=0.9,1", ["q", "0.9", "1"])):
+        code, out, _ = run_cli(["scan", "ghz-w", "--grid", grid], capsys)
+        assert code == 0 and [row.split(",")[0] for row in out.splitlines()] == rows
+    path = write_state(tmp_path, {"catalog": {"name": "ghz", "params": [INV2, INV2]}})
+    _, with_tangle, _ = run_cli(["classify", path, "--tangle"], capsys)
+    assert json.loads(with_tangle)["tangle"] == pytest.approx(1.0, abs=1e-12)
+    _, plain, _ = run_cli(["classify", path], capsys)
+    assert json.loads(plain)["tangle"] is None
+
+
 def test_every_catalog_family_has_in_range_parameters():
     assert sorted(CATALOG_PARAMS) == sorted(catalog_names())
 
